@@ -9,9 +9,7 @@ tetra — the Tetra educational parallel programming language
 
 USAGE:
   tetra run <file.tet> [--threads N] [--gil] [--gc-stress] [--gc-stats] [--gc-threads N]
-                       [--no-detect] [--no-pool] [--trace out.json] [--metrics] [--heap-profile]
-                       (--no-pool: spawn a thread per chunk instead of the
-                       persistent work-stealing pool)
+                       [--no-detect] [--trace out.json] [--metrics] [--heap-profile]
   tetra profile <file.tet> [--threads N] [--flame out.folded]
                                     run with tracing and print a profile report
                                     (--flame also writes collapsed stacks for
@@ -21,10 +19,9 @@ USAGE:
   tetra ast <file.tet>              dump the AST
   tetra pretty <file.tet>           re-print canonical source
   tetra disasm <file.tet> [--fold]  compile to bytecode and disassemble
-  tetra sim <file.tet> [--threads N] [--gil] [--no-pool] [--trace out.json] [--metrics]
+  tetra sim <file.tet> [--threads N] [--gil] [--trace out.json] [--metrics]
                        [--heap-profile]
-                                    deterministic virtual-time run (VM;
-                                    --no-pool models static chunking)
+                                    deterministic virtual-time run (VM)
   tetra trace <file.tet> [--threads N]
                                     run with tracing: thread timeline + data races
   tetra debug <file.tet> [--threads N]
@@ -45,8 +42,6 @@ struct Opts {
     /// Cap on parallel mark workers (`--gc-threads`; None = one per core).
     gc_threads: Option<usize>,
     no_detect: bool,
-    /// Bypass the work-stealing pool (interp) / dynamic chunking (sim).
-    no_pool: bool,
     fold: bool,
     trace: Option<String>,
     metrics: bool,
@@ -65,7 +60,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         gc_stats: false,
         gc_threads: None,
         no_detect: false,
-        no_pool: false,
         fold: false,
         trace: None,
         metrics: false,
@@ -110,7 +104,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.gc_threads = Some(v.parse::<usize>().map_err(|e| e.to_string())?);
             }
             "--no-detect" => o.no_detect = true,
-            "--no-pool" => o.no_pool = true,
             "--fold" => o.fold = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
@@ -190,7 +183,6 @@ fn interp_config(o: &Opts) -> InterpConfig {
     c.gc.stress = o.gc_stress;
     c.gc.gc_threads = o.gc_threads.unwrap_or(0);
     c.detect_deadlocks = !o.no_detect;
-    c.use_pool = !o.no_pool;
     c
 }
 
@@ -340,7 +332,6 @@ fn sim(args: &[String]) -> Result<(), String> {
     let (program, _) = compile_file(need_file(&o)?)?;
     let mut cfg = VmConfig {
         workers: o.threads.unwrap_or(4),
-        dynamic_chunking: !o.no_pool,
         cost: tetra::vm::CostModel { gil: o.gil, ..Default::default() },
         ..VmConfig::default()
     };

@@ -8,12 +8,15 @@
 //!   inserted into their private symbol table";
 //! * `lock` — a named mutex held for the block's duration.
 //!
-//! Spawned threads share the parent's environment frames (the shared symbol
-//! tables), register with the GC *before* the OS thread starts (so a
-//! collection can never miss them), and block inside GC safe regions.
+//! `parallel:` arms and `parallel for` ranges run on the interpreter's
+//! work-stealing pool; each `background:` arm gets a dedicated OS thread.
+//! Either way a child is a logical Tetra thread that shares the parent's
+//! environment frames (the shared symbol tables), registers with the GC
+//! *before* anything runs it (so a collection can never miss it), and
+//! blocks inside GC safe regions.
 
 use crate::hooks::{ExecEvent, Loc};
-use crate::thread::{SpawnRoots, ThreadCtx, THREAD_STACK_SIZE};
+use crate::thread::{ChildSeed, ThreadCtx, THREAD_STACK_SIZE};
 use crate::Shared;
 
 use parking_lot::{Condvar, Mutex};
@@ -22,8 +25,7 @@ use std::sync::Arc;
 use tetra_ast::{AssignOp, Block, Expr, NodeId, Stmt, StmtKind, Target};
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    Env, ErrorKind, MutatorGuard, Object, RuntimeError, SlotLayout, ThreadCell, ThreadKind,
-    ThreadState, Value,
+    Env, ErrorKind, Object, PoolPanic, RuntimeError, ThreadKind, ThreadState, Value,
 };
 
 /// Control flow result of a statement.
@@ -335,22 +337,12 @@ impl ThreadCtx {
         result
     }
 
-    /// Run one logical thread per child statement and join them all. On
-    /// the pool path the arms execute as pool tasks (no OS-thread spawn);
-    /// `--no-pool` restores one dedicated thread per arm.
+    /// `parallel:` — one logical Tetra thread per child statement, joined
+    /// before moving on. The arms execute as pool tasks: the registry,
+    /// debugger and flame views still see one thread per arm, but the arm
+    /// count is decoupled from the OS thread count — extra arms queue on
+    /// the pool, and the parent helps while it waits.
     fn exec_parallel(&mut self, body: &Block) -> Result<(), RuntimeError> {
-        if !self.shared.config.use_pool {
-            let handles = self.spawn_statements(body, ThreadKind::Parallel)?;
-            return self.join_children(handles);
-        }
-        self.parallel_pooled(body)
-    }
-
-    /// `parallel:` arms as pool tasks: still one logical Tetra thread per
-    /// arm (the registry, debugger and flame views are unchanged), but the
-    /// arm count is decoupled from the OS thread count — extra arms queue
-    /// on the pool, and the parent helps while it waits.
-    fn parallel_pooled(&mut self, body: &Block) -> Result<(), RuntimeError> {
         if body.stmts.is_empty() {
             return Ok(());
         }
@@ -362,25 +354,13 @@ impl ThreadCtx {
             Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(n);
         for i in 0..n {
-            // Register the arm with the GC and the thread registry before
-            // it is queued, exactly as the spawn path does.
-            let guard = self
-                .shared
-                .heap
-                .register_spawned(&SpawnRoots { frames: frames.clone(), values: vec![] });
-            let cell = self.shared.threads.spawn(Some(self.cell.id), ThreadKind::Parallel);
-            self.emit(ExecEvent::ThreadStart {
-                id: cell.id,
-                kind: ThreadKind::Parallel,
-                parent: Some(self.cell.id),
-                line: arms.stmts[i].span.line,
-            });
             let env = Env::from_frames(frames.clone());
+            let seed = self.register_child(env, ThreadKind::Parallel, arms.stmts[i].span.line);
             let shared = self.shared.clone();
             let arms = arms.clone();
             let results = results.clone();
             tasks.push(Box::new(move || {
-                let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, vec![], spawn_node);
+                let mut ctx = ThreadCtx::new_child(shared, seed, spawn_node);
                 let r = ctx.exec_stmt(&arms.stmts[i]);
                 ctx.finish_thread();
                 if let Err(e) = r {
@@ -391,31 +371,14 @@ impl ThreadCtx {
         self.cell.set_state(ThreadState::Joining);
         let pool_result = self.safe_region(|| self.shared.pool().run_calls(tasks));
         self.cell.set_state(ThreadState::Running);
-        // First error in statement order, matching the join order of the
-        // spawn path.
+        // The first error in statement order wins.
         let first_error = results.lock().iter_mut().find_map(|r| r.take());
-        match (first_error, pool_result) {
-            (Some(e), _) => Err(e),
-            (None, Err(_)) => Err(self.err(
-                ErrorKind::ThreadError,
-                "a spawned thread panicked (this is a bug in the interpreter)",
-            )),
-            (None, Ok(())) => Ok(()),
-        }
+        self.join_result(first_error, pool_result)
     }
 
-    /// Spawn one thread per child statement without joining.
+    /// `background:` — one dedicated OS thread per child statement, never
+    /// joined here (the run joins stragglers when `main` returns).
     fn exec_background(&mut self, body: &Block) -> Result<(), RuntimeError> {
-        let handles = self.spawn_statements(body, ThreadKind::Background)?;
-        self.shared.background.lock().extend(handles);
-        Ok(())
-    }
-
-    fn spawn_statements(
-        &mut self,
-        body: &Block,
-        kind: ThreadKind,
-    ) -> Result<Vec<std::thread::JoinHandle<Result<(), RuntimeError>>>, RuntimeError> {
         let frames = self.current_env().frames().to_vec();
         // Children attribute to the call path that spawned them until they
         // call a function of their own.
@@ -423,52 +386,25 @@ impl ThreadCtx {
         // One shared clone of the block; each arm executes its own
         // statement out of it by index.
         let arms = Arc::new(body.clone());
-        let mut handles = Vec::with_capacity(arms.stmts.len());
         for i in 0..arms.stmts.len() {
-            let arms = arms.clone();
-            let shared = self.shared.clone();
             let env = Env::from_frames(frames.clone());
-            // Register the child with the GC before its OS thread exists.
-            let guard = shared
-                .heap
-                .register_spawned(&SpawnRoots { frames: frames.clone(), values: vec![] });
-            let cell = shared.threads.spawn(Some(self.cell.id), kind);
-            self.emit(ExecEvent::ThreadStart {
-                id: cell.id,
-                kind,
-                parent: Some(self.cell.id),
-                line: arms.stmts[i].span.line,
-            });
+            let seed = self.register_child(env, ThreadKind::Background, arms.stmts[i].span.line);
+            let name = format!("tetra-{}", seed.cell.id);
+            let shared = self.shared.clone();
+            let arms = arms.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("tetra-{}", cell.id))
+                .name(name)
                 .stack_size(THREAD_STACK_SIZE)
                 .spawn(move || {
-                    let mut ctx =
-                        ThreadCtx::new_child(shared, guard, cell, env, vec![], spawn_node);
+                    let mut ctx = ThreadCtx::new_child(shared, seed, spawn_node);
                     let result = ctx.exec_stmt(&arms.stmts[i]).map(|_| ());
                     ctx.finish_thread();
                     result
                 })
                 .map_err(|e| self.err(ErrorKind::Io, format!("could not spawn a thread: {e}")))?;
-            handles.push(handle);
+            self.shared.background.lock().push(handle);
         }
-        Ok(handles)
-    }
-
-    fn exec_parallel_for(
-        &mut self,
-        var: Symbol,
-        stmt_id: NodeId,
-        items: Vec<Value>,
-        body: &Block,
-    ) -> Result<(), RuntimeError> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        if !self.shared.config.use_pool {
-            return self.parallel_for_spawned(var, stmt_id, items, body);
-        }
-        self.parallel_for_pooled(var, stmt_id, items, body)
+        Ok(())
     }
 
     /// `parallel for` on the work-stealing pool: the item snapshot stays
@@ -476,7 +412,7 @@ impl ThreadCtx {
     /// adaptively as they are stolen, and `worker_threads` pre-created
     /// logical Tetra threads give every range a stable identity (debugger,
     /// race detector, flame) no matter which pool thread runs it.
-    fn parallel_for_pooled(
+    fn exec_parallel_for(
         &mut self,
         var: Symbol,
         stmt_id: NodeId,
@@ -484,6 +420,9 @@ impl ThreadCtx {
         body: &Block,
     ) -> Result<(), RuntimeError> {
         let len = items.len();
+        if len == 0 {
+            return Ok(());
+        }
         let workers = self.shared.config.worker_threads.clamp(1, len);
         let frames = self.current_env().frames().to_vec();
         let spawn_node = self.current_stack_node();
@@ -500,19 +439,9 @@ impl ThreadCtx {
         // Pre-create the logical workers; executors check one out per range.
         let mut slots = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let guard = self
-                .shared
-                .heap
-                .register_spawned(&SpawnRoots { frames: frames.clone(), values: vec![] });
-            let cell = self.shared.threads.spawn(Some(self.cell.id), ThreadKind::ParallelFor);
-            self.emit(ExecEvent::ThreadStart {
-                id: cell.id,
-                kind: ThreadKind::ParallelFor,
-                parent: Some(self.cell.id),
-                line: self.line,
-            });
             let env = Env::from_frames(frames.clone()).with_private_layout(layout.clone());
-            slots.push(Some(WorkerSlot::Fresh { guard, cell, env }));
+            let seed = self.register_child(env, ThreadKind::ParallelFor, self.line);
+            slots.push(Some(WorkerSlot::Fresh(seed)));
         }
         let job = Arc::new(PforJob {
             shared: self.shared.clone(),
@@ -545,13 +474,10 @@ impl ThreadCtx {
             for slot in job.slots.lock().drain(..) {
                 match slot {
                     Some(WorkerSlot::Ready(ctx)) => ctxs.push(ctx),
-                    Some(WorkerSlot::Fresh { guard, cell, env }) => {
+                    Some(WorkerSlot::Fresh(seed)) => {
                         ctxs.push(Box::new(ThreadCtx::new_child(
                             self.shared.clone(),
-                            guard,
-                            cell,
-                            env,
-                            vec![],
+                            seed,
                             spawn_node,
                         )));
                     }
@@ -569,6 +495,16 @@ impl ThreadCtx {
         drop(ctxs);
         self.truncate_temps(mark);
         let first_error = job.error.lock().take();
+        self.join_result(first_error, pool_result)
+    }
+
+    /// Outcome of a joined construct: the first child error, else a pool
+    /// panic (an interpreter bug), else success.
+    fn join_result(
+        &self,
+        first_error: Option<RuntimeError>,
+        pool_result: Result<(), PoolPanic>,
+    ) -> Result<(), RuntimeError> {
         match (first_error, pool_result) {
             (Some(e), _) => Err(e),
             (None, Err(_)) => Err(self.err(
@@ -576,107 +512,6 @@ impl ThreadCtx {
                 "a spawned thread panicked (this is a bug in the interpreter)",
             )),
             (None, Ok(())) => Ok(()),
-        }
-    }
-
-    /// The `--no-pool` fallback: one freshly spawned OS thread per static
-    /// contiguous chunk (the pre-pool behaviour, kept as an escape hatch
-    /// and as the differential baseline for the pool path).
-    fn parallel_for_spawned(
-        &mut self,
-        var: Symbol,
-        stmt_id: NodeId,
-        items: Vec<Value>,
-        body: &Block,
-    ) -> Result<(), RuntimeError> {
-        let workers = self.shared.config.worker_threads.clamp(1, items.len());
-        let frames = self.current_env().frames().to_vec();
-        let spawn_node = self.current_stack_node();
-        let layout = self.shared.typed.resolution.pfor_layout(stmt_id);
-        let body = Arc::new(body.clone());
-        // Contiguous chunks, as even as possible.
-        let per = items.len().div_ceil(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for chunk in items.chunks(per) {
-            let shared = self.shared.clone();
-            let body = body.clone();
-            let layout: Arc<SlotLayout> = layout.clone();
-            // One copy of the chunk: it roots the items from registration
-            // until the thread starts, then becomes the context's initial
-            // temp roots.
-            let roots = SpawnRoots { frames: frames.clone(), values: chunk.to_vec() };
-            let guard = shared.heap.register_spawned(&roots);
-            let chunk = roots.values;
-            let cell = shared.threads.spawn(Some(self.cell.id), ThreadKind::ParallelFor);
-            self.emit(ExecEvent::ThreadStart {
-                id: cell.id,
-                kind: ThreadKind::ParallelFor,
-                parent: Some(self.cell.id),
-                line: self.line,
-            });
-            // The worker's private frame holds its induction variable copy.
-            let use_slots = !layout.is_empty();
-            let env = Env::from_frames(frames.clone()).with_private_layout(layout);
-            let handle = std::thread::Builder::new()
-                .name(format!("tetra-{}", cell.id))
-                .stack_size(THREAD_STACK_SIZE)
-                .spawn(move || {
-                    let n = chunk.len();
-                    let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, chunk, spawn_node);
-                    let mut result = Ok(());
-                    for i in 0..n {
-                        let item = ctx.temps[i];
-                        if use_slots {
-                            ctx.current_env().write_slot(0, 0, item);
-                        } else {
-                            ctx.current_env().define(var, item);
-                        }
-                        if let Err(e) = ctx.exec_block(&body) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                    ctx.finish_thread();
-                    result
-                })
-                .map_err(|e| self.err(ErrorKind::Io, format!("could not spawn a thread: {e}")))?;
-            handles.push(handle);
-        }
-        self.join_children(handles)
-    }
-
-    /// Join spawned children inside a GC safe region, propagating the first
-    /// child error.
-    fn join_children(
-        &mut self,
-        handles: Vec<std::thread::JoinHandle<Result<(), RuntimeError>>>,
-    ) -> Result<(), RuntimeError> {
-        self.cell.set_state(ThreadState::Joining);
-        let results: Vec<std::thread::Result<Result<(), RuntimeError>>> =
-            self.safe_region(|| handles.into_iter().map(|h| h.join()).collect());
-        self.cell.set_state(ThreadState::Running);
-        let mut first_error: Option<RuntimeError> = None;
-        for r in results {
-            match r {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if first_error.is_none() {
-                        first_error = Some(self.err(
-                            ErrorKind::ThreadError,
-                            "a spawned thread panicked (this is a bug in the interpreter)",
-                        ));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
@@ -709,7 +544,7 @@ enum WorkerSlot {
     /// Whichever executor first checks the slot out builds the context
     /// (and thereby exits the spawn safe-region on *its* thread — doing
     /// that on the submitting thread could deadlock the collector).
-    Fresh { guard: MutatorGuard, cell: Arc<ThreadCell>, env: Env },
+    Fresh(ChildSeed),
     /// A context left behind by a previous range execution.
     Ready(Box<ThreadCtx>),
 }
@@ -732,8 +567,7 @@ struct PforJob {
     /// Rotates checkouts across the slots so consecutive ranges land on
     /// *different* logical threads even when one executor drains the whole
     /// loop (a one-core host): the program still presents `worker_threads`
-    /// threads to the debugger and the lockset race detector, exactly as
-    /// the spawn model did.
+    /// threads to the debugger and the lockset race detector.
     next_slot: AtomicUsize,
     available: Condvar,
     error: Mutex<Option<RuntimeError>>,
@@ -766,14 +600,9 @@ impl PforJob {
                         ctx.resume_idle();
                         ctx
                     }
-                    WorkerSlot::Fresh { guard, cell, env } => Box::new(ThreadCtx::new_child(
-                        self.shared.clone(),
-                        guard,
-                        cell,
-                        env,
-                        vec![],
-                        self.spawn_node,
-                    )),
+                    WorkerSlot::Fresh(seed) => {
+                        Box::new(ThreadCtx::new_child(self.shared.clone(), seed, self.spawn_node))
+                    }
                 };
             }
             self.available.wait(&mut slots);

@@ -7,8 +7,10 @@
 //!
 //! Key properties:
 //!
-//! * `parallel` / `background` / `parallel for` spawn genuine OS threads
-//!   (no GIL), sharing the parent's symbol-table frames;
+//! * `parallel` / `background` / `parallel for` run on genuine OS threads
+//!   (no GIL) — a persistent work-stealing pool for `parallel` and
+//!   `parallel for`, a dedicated thread per `background` arm — sharing the
+//!   parent's symbol-table frames;
 //! * every thread is a registered GC mutator; blocking operations (lock
 //!   waits, joins, console reads) run inside GC safe regions;
 //! * a [`hooks::DebugHook`] can observe and pause each thread independently
@@ -64,10 +66,6 @@ pub struct InterpConfig {
     /// Join still-running `background` threads when `main` returns (default
     /// on: a library cannot kill threads the way process exit does).
     pub join_background: bool,
-    /// Run `parallel for` / `parallel:` on the persistent work-stealing
-    /// pool (default). Off (`--no-pool`) falls back to the historical
-    /// spawn-one-thread-per-chunk path.
-    pub use_pool: bool,
 }
 
 impl Default for InterpConfig {
@@ -78,7 +76,6 @@ impl Default for InterpConfig {
             gc: HeapConfig::default(),
             detect_deadlocks: true,
             join_background: true,
-            use_pool: true,
         }
     }
 }
@@ -91,8 +88,9 @@ pub struct RunStats {
     pub threads_spawned: u32,
     /// (total lock acquisitions, contended acquisitions).
     pub lock_acquisitions: (u64, u64),
-    /// Work-stealing pool counters (all zero under `--no-pool` or when no
-    /// parallel construct ran).
+    /// Work-stealing pool counters. `parallel:` and `parallel for` always
+    /// run on the pool; all zero when no such construct ran (`background:`
+    /// threads bypass it).
     pub pool: PoolStats,
 }
 

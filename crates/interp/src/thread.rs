@@ -12,8 +12,8 @@ use std::sync::Arc;
 use tetra_ast::Stmt;
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    Env, ErrorKind, FrameRef, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
-    ThreadCell, ThreadState, Value,
+    Env, ErrorKind, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError, ThreadCell,
+    ThreadKind, ThreadState, Value,
 };
 
 /// Stack size for spawned Tetra threads: recursive tree-walking plus user
@@ -74,29 +74,19 @@ impl RootSource for RootsView<'_> {
     }
 }
 
-/// Root source used when registering spawned threads: the environment
-/// frames they will run in plus any values handed to them.
-pub(crate) struct SpawnRoots {
-    pub frames: Vec<FrameRef>,
-    pub values: Vec<Value>,
-}
-
-impl RootSource for SpawnRoots {
-    fn roots(&self, sink: &mut RootSink) {
-        for f in &self.frames {
-            sink.frame(f);
-        }
-        for v in &self.values {
-            sink.value(*v);
-        }
-    }
+/// A child thread registered with the GC and the thread registry but not
+/// yet running (see [`ThreadCtx::register_child`]).
+pub(crate) struct ChildSeed {
+    pub mutator: MutatorGuard,
+    pub cell: Arc<ThreadCell>,
+    pub env: Env,
 }
 
 impl ThreadCtx {
     /// Context for the main thread.
     pub fn new_main(shared: Arc<Shared>) -> ThreadCtx {
         let mutator = shared.heap.register_mutator();
-        let cell = shared.threads.spawn(None, tetra_runtime::ThreadKind::Main);
+        let cell = shared.threads.spawn(None, ThreadKind::Main);
         ThreadCtx {
             shared,
             mutator,
@@ -115,26 +105,31 @@ impl ThreadCtx {
         }
     }
 
-    /// Context for a spawned thread. The mutator guard must come from
-    /// [`tetra_runtime::Heap::register_spawned`]; this constructor exits the
-    /// initial spawn safe-region. `spawn_node` is the parent's call-path
-    /// node at the spawn point, inherited as this thread's attribution
-    /// root.
-    pub fn new_child(
-        shared: Arc<Shared>,
-        mutator: MutatorGuard,
-        cell: Arc<ThreadCell>,
-        env: Env,
-        initial_temps: Vec<Value>,
-        spawn_node: u32,
-    ) -> ThreadCtx {
+    /// Set up a child of this thread that will run in `env`, before any OS
+    /// thread or pool task exists for it: register its GC mutator with
+    /// `env` as published roots (so a collection can never miss it), create
+    /// its registry cell and announce it. [`ThreadCtx::new_child`] starts it
+    /// on whichever thread ends up running it.
+    pub fn register_child(&self, env: Env, kind: ThreadKind, line: u32) -> ChildSeed {
+        let roots = RootsView { temps: &[], envs: std::slice::from_ref(&env) };
+        let mutator = self.shared.heap.register_spawned(&roots);
+        let cell = self.shared.threads.spawn(Some(self.cell.id), kind);
+        self.emit(ExecEvent::ThreadStart { id: cell.id, kind, parent: Some(self.cell.id), line });
+        ChildSeed { mutator, cell, env }
+    }
+
+    /// Context for a registered child; exits the initial spawn
+    /// safe-region. `spawn_node` is the parent's call-path node at the
+    /// spawn point, inherited as this thread's attribution root.
+    pub fn new_child(shared: Arc<Shared>, seed: ChildSeed, spawn_node: u32) -> ThreadCtx {
+        let ChildSeed { mutator, cell, env } = seed;
         shared.heap.exit_spawn_region(&mutator);
         ThreadCtx {
             shared,
             mutator,
             cell,
             env_stack: vec![env],
-            temps: initial_temps,
+            temps: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
             line: 0,

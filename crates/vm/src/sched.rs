@@ -44,6 +44,19 @@ pub struct CostModel {
     pub gil: bool,
 }
 
+impl CostModel {
+    /// `(parallel, serial)` units of one instruction of class `cost`.
+    fn price(&self, cost: CostClass) -> (u64, u64) {
+        match cost {
+            CostClass::Basic => (self.instr_parallel, self.instr_serial),
+            CostClass::SharedAccess => (self.instr_parallel, self.instr_serial * 2),
+            CostClass::Alloc => (self.instr_parallel, self.instr_serial + self.alloc_serial),
+            CostClass::Builtin => (self.instr_parallel, self.instr_serial + self.builtin_serial),
+            CostClass::Sleep(ms) => (ms * self.units_per_ms, 0),
+        }
+    }
+}
+
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
@@ -65,7 +78,7 @@ pub struct VmConfig {
     pub workers: usize,
     /// Model the runtime pool's adaptive chunking: workers claim
     /// shrinking chunks from a shared cursor instead of taking one static
-    /// contiguous chunk each (the `--no-pool` model).
+    /// contiguous chunk each (the static model E10 compares against).
     pub dynamic_chunking: bool,
     pub cost: CostModel,
     pub gc: HeapConfig,
@@ -177,6 +190,28 @@ impl<'p> Scheduler<'p> {
         &mut self.threads[id as usize]
     }
 
+    /// Charge `n` (≥ 1) consecutive instructions of one cost class to the
+    /// thread at `idx`: each pays `parallel` on the thread's own clock and
+    /// `serial` on the shared runtime resource. In GIL mode the whole cost
+    /// queues on the resource. Back-to-back instructions of one thread
+    /// never wait on each other, so `n` of them cost exactly `n` single
+    /// charges, computed here in closed form.
+    fn charge(&mut self, idx: usize, parallel: u64, serial: u64, n: u64) {
+        let thread = &mut self.threads[idx];
+        if self.config.cost.gil {
+            let start = thread.vtime.max(self.runtime_free);
+            thread.vtime = start + n * (parallel + serial);
+            self.runtime_free = thread.vtime;
+        } else if serial > 0 {
+            thread.vtime += parallel;
+            let start = thread.vtime.max(self.runtime_free);
+            thread.vtime = start + serial + (n - 1) * (parallel + serial);
+            self.runtime_free = thread.vtime;
+        } else {
+            thread.vtime += n * parallel;
+        }
+    }
+
     fn run(&mut self) -> Result<SimStats, RuntimeError> {
         let main_unit = self.program.main;
         let nlocals = self.program.unit(main_unit).nlocals as usize;
@@ -254,8 +289,7 @@ impl<'p> Scheduler<'p> {
                 // Fast path within the quantum: run allocation-free
                 // instructions under a single locals/stack lock acquisition
                 // instead of relocking per instruction. All of them cost
-                // `Basic`; the charge below is instruction-for-instruction
-                // identical to the per-step accounting.
+                // `Basic`, charged in one call.
                 if batch > 1 {
                     let world = World {
                         program: self.program,
@@ -271,28 +305,15 @@ impl<'p> Scheduler<'p> {
                         // The quantum never executes Call/Return, so the
                         // shadow node cannot have changed.
                         batch_count += n;
-                        let m = &self.config.cost;
-                        let (p, s) = (m.instr_parallel, m.instr_serial);
-                        let thread = &mut self.threads[idx];
-                        if m.gil {
-                            let start = thread.vtime.max(self.runtime_free);
-                            thread.vtime = start + (n as u64) * (p + s);
-                            self.runtime_free = thread.vtime;
-                        } else if s > 0 {
-                            thread.vtime += p;
-                            let start = thread.vtime.max(self.runtime_free);
-                            thread.vtime = start + s + (n as u64 - 1) * (p + s);
-                            self.runtime_free = thread.vtime;
-                        } else {
-                            thread.vtime += n as u64 * p;
-                        }
+                        let (parallel, serial) = self.config.cost.price(CostClass::Basic);
+                        self.charge(idx, parallel, serial, n as u64);
                         if dispatched >= batch {
                             break;
                         }
                     }
                 }
                 // Disjoint field borrows: the stepped thread is mutable;
-                // the world pieces and cost bookkeeping are other fields.
+                // the world pieces are other fields.
                 let world = World {
                     program: self.program,
                     heap: &self.heap,
@@ -300,8 +321,7 @@ impl<'p> Scheduler<'p> {
                     registry: &self.registry,
                     console: &self.console,
                 };
-                let thread = &mut self.threads[idx];
-                let stepped = thread.step(&world);
+                let stepped = self.threads[idx].step(&world);
                 self.instructions += 1;
                 dispatched += 1;
                 batch_count += 1;
@@ -314,30 +334,11 @@ impl<'p> Scheduler<'p> {
                         break;
                     }
                 };
-                // Inline cost charging (same model as `charge`).
-                let m = &self.config.cost;
-                let (parallel, serial) = match cost {
-                    CostClass::Basic => (m.instr_parallel, m.instr_serial),
-                    CostClass::SharedAccess => (m.instr_parallel, m.instr_serial * 2),
-                    CostClass::Alloc => (m.instr_parallel, m.instr_serial + m.alloc_serial),
-                    CostClass::Builtin => (m.instr_parallel, m.instr_serial + m.builtin_serial),
-                    CostClass::Sleep(ms) => (ms * m.units_per_ms, 0),
-                };
-                if m.gil {
-                    let start = thread.vtime.max(self.runtime_free);
-                    thread.vtime = start + parallel + serial;
-                    self.runtime_free = thread.vtime;
-                } else {
-                    thread.vtime += parallel;
-                    if serial > 0 {
-                        let start = thread.vtime.max(self.runtime_free);
-                        thread.vtime = start + serial;
-                        self.runtime_free = thread.vtime;
-                    }
-                }
+                let (parallel, serial) = self.config.cost.price(cost);
+                self.charge(idx, parallel, serial, 1);
                 // A Call or Return moved the thread onto a different call
                 // path: flush the batch so far under the old node.
-                let node = thread.current_shadow_node();
+                let node = self.threads[idx].current_shadow_node();
                 if node != batch_node {
                     tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
                     batch_start = tetra_obs::now_ns();
@@ -419,8 +420,8 @@ impl<'p> Scheduler<'p> {
                 let spawn_cost = self.config.cost.spawn;
                 // Dynamic chunking: all workers read one shared table and
                 // claim shrinking ranges from a common cursor, modeling the
-                // interpreter pool's split-on-steal. Static (--no-pool):
-                // each worker gets one contiguous chunk up front.
+                // interpreter pool's split-on-steal. Static: each worker
+                // gets one contiguous chunk up front.
                 let share = if self.config.dynamic_chunking {
                     Some(std::sync::Arc::new(FeedShare::new(items.len(), workers)))
                 } else {

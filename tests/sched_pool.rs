@@ -1,10 +1,12 @@
 //! Scheduler-pool integration tests: load balancing on skewed loops,
-//! pool-vs-`--no-pool` differentials (the pool must never change program
-//! output), and nested-construct no-deadlock regressions.
+//! scheduler differentials (a 1-worker vs an N-worker pool, and the
+//! interpreter vs the VM with dynamic and static chunking — scheduling must
+//! never change program output), and nested-construct no-deadlock
+//! regressions.
 //!
-//! Observability sessions are process-global, so tests that read metrics
-//! counters take `SESSION_GUARD` first (the harness runs tests on
-//! parallel threads by default).
+//! Observability sessions are process-global and every run publishes into
+//! an active one, so every test holds `SESSION_GUARD` for its whole body
+//! (the harness runs tests on parallel threads by default).
 
 use proptest::prelude::*;
 use std::sync::mpsc;
@@ -22,14 +24,37 @@ fn compile(src: &str) -> Tetra {
     Tetra::compile(src).unwrap_or_else(|e| panic!("compile:\n{}", e.render()))
 }
 
-/// Run under the interpreter with an explicit pool setting, returning the
+/// Run under the interpreter on a pool of `threads` workers, returning the
 /// program output and the run stats (which carry the pool counters).
-fn run_interp(src: &str, threads: usize, use_pool: bool) -> (String, RunStats) {
+fn run_interp(src: &str, threads: usize) -> (String, RunStats) {
     let program = compile(src);
     let console = BufferConsole::new();
-    let cfg = InterpConfig { worker_threads: threads, use_pool, ..InterpConfig::default() };
+    let cfg = InterpConfig { worker_threads: threads, ..InterpConfig::default() };
     let stats = program.run_with(cfg, console.clone()).unwrap_or_else(|e| panic!("run: {e}"));
     (console.output(), stats)
+}
+
+fn run_vm(src: &str, workers: usize, dynamic_chunking: bool) -> String {
+    let console = BufferConsole::new();
+    let cfg = VmConfig { workers, dynamic_chunking, ..VmConfig::default() };
+    compile(src).simulate_with(cfg, console.clone()).unwrap_or_else(|e| panic!("vm: {e}"));
+    console.output()
+}
+
+/// Run `src` under every scheduler — the interpreter's pool at one worker
+/// and at `workers`, the VM with dynamic and with static chunking at
+/// `workers` — and assert they all print the same thing. Returns it.
+fn assert_schedulers_agree(src: &str, workers: usize) -> String {
+    let (expected, _) = run_interp(src, 1);
+    let others = [
+        ("interpreter pool", run_interp(src, workers).0),
+        ("VM dynamic chunking", run_vm(src, workers, true)),
+        ("VM static chunking", run_vm(src, workers, false)),
+    ];
+    for (label, out) in others {
+        assert_eq!(out, expected, "{label} at {workers} workers disagrees with one worker:\n{src}");
+    }
+    expected
 }
 
 #[test]
@@ -39,7 +64,7 @@ fn skewed_workload_engages_stealing_and_balances() {
     let program = compile(&src);
     tetra::obs::session::begin(tetra::obs::session::Config { metrics: true, ..Default::default() });
     let console = BufferConsole::new();
-    let cfg = InterpConfig { worker_threads: 4, use_pool: true, ..InterpConfig::default() };
+    let cfg = InterpConfig { worker_threads: 4, ..InterpConfig::default() };
     let stats = program.run_with(cfg, console.clone()).expect("skewed run");
     let trace = tetra::obs::session::end();
 
@@ -63,23 +88,15 @@ fn skewed_workload_engages_stealing_and_balances() {
     assert_eq!(steals + submitter, stats.pool.steals + stats.pool.submitter_tasks);
 
     // And the answer must still be right.
-    let (expected, _) = run_interp(&src, 4, false);
+    let (expected, _) = run_interp(&src, 1);
     assert_eq!(console.output(), expected);
 }
 
+/// Deterministic fixed programs whose output must not depend on the
+/// scheduler.
 #[test]
-fn no_pool_runs_produce_zero_pool_stats() {
-    let (_, with_pool) = run_interp(&programs::skewed(16), 2, true);
-    assert!(with_pool.pool.tasks_executed > 0);
-    let (_, without) = run_interp(&programs::skewed(16), 2, false);
-    assert_eq!(without.pool.tasks_executed, 0, "--no-pool must bypass the pool entirely");
-    assert_eq!(without.pool.steals, 0);
-}
-
-/// Deterministic fixed programs whose output must be identical with and
-/// without the pool, and with and without the VM's dynamic chunking.
-#[test]
-fn pool_and_no_pool_agree_on_fixed_corpus() {
+fn schedulers_agree_on_fixed_corpus() {
+    let _guard = exclusive();
     let corpus: Vec<String> = vec![
         programs::skewed(32),
         programs::locked_counter(200),
@@ -92,27 +109,26 @@ fn pool_and_no_pool_agree_on_fixed_corpus() {
             .into(),
     ];
     for src in &corpus {
-        let (pooled, _) = run_interp(src, 4, true);
-        let (spawned, _) = run_interp(src, 4, false);
-        assert_eq!(pooled, spawned, "pool changed interpreter output for:\n{src}");
-
-        let program = compile(src);
-        let dyn_console = BufferConsole::new();
-        let cfg = VmConfig { workers: 4, dynamic_chunking: true, ..VmConfig::default() };
-        program.simulate_with(cfg, dyn_console.clone()).expect("vm dynamic");
-        let static_console = BufferConsole::new();
-        let cfg = VmConfig { workers: 4, dynamic_chunking: false, ..VmConfig::default() };
-        program.simulate_with(cfg, static_console.clone()).expect("vm static");
-        assert_eq!(
-            dyn_console.output(),
-            static_console.output(),
-            "dynamic chunking changed VM output for:\n{src}"
-        );
+        assert_schedulers_agree(src, 4);
     }
+
+    // A program with no parallel construct never touches the pool.
+    let serial = "def main():\n    s = 0\n    for i in [1 ... 10]:\n        s += i\n    print(s)\n";
+    let (out, stats) = run_interp(serial, 4);
+    assert_eq!(out, "55\n");
+    let p = &stats.pool;
+    assert_eq!(
+        (p.workers, p.tasks_executed, p.submitter_tasks, p.steals, p.tasks_stolen),
+        (0, 0, 0, 0, 0),
+        "{p:?}"
+    );
+    assert_eq!((p.range_splits, p.queue_high_water, p.busy_ns), (0, 0, 0), "{p:?}");
+    assert!(p.per_worker.is_empty(), "{p:?}");
 }
 
 #[test]
 fn parallel_arms_beyond_the_worker_count_all_complete() {
+    let _guard = exclusive();
     // Six arms on a two-worker pool: arms are threads semantically, so the
     // pool must escalate rather than queue them behind each other. Each
     // arm sleeps while holding its slot, so two-at-a-time execution would
@@ -132,12 +148,13 @@ def main():
         total += h
     print(total)
 ";
-    let (out, _) = run_interp(src, 2, true);
+    let (out, _) = run_interp(src, 2);
     assert_eq!(out, "6\n");
 }
 
 #[test]
 fn contending_arms_on_a_tiny_pool_all_run() {
+    let _guard = exclusive();
     // Three arms contending on one lock with a ONE-worker pool: the two
     // arms beyond the pool's capacity must be escalated to spare threads
     // (not queued behind a blocked worker), or the lock handoffs — and the
@@ -158,12 +175,13 @@ def main():
             stage += 1
     print(stage)
 ";
-    let (out, _) = run_interp(src, 1, true);
+    let (out, _) = run_interp(src, 1);
     assert_eq!(out, "3\n");
 }
 
 #[test]
 fn nested_parallel_for_does_not_deadlock_the_pool() {
+    let _guard = exclusive();
     // A parallel for inside a parallel for, on a small pool: the inner
     // submitters are pool workers, which must lend themselves as workers
     // (help-first) instead of parking. Run under a watchdog so a deadlock
@@ -180,7 +198,7 @@ def main():
     let (tx, rx) = mpsc::channel();
     let src_owned = src.to_string();
     std::thread::spawn(move || {
-        let (out, stats) = run_interp(&src_owned, 2, true);
+        let (out, stats) = run_interp(&src_owned, 2);
         let _ = tx.send((out, stats));
     });
     let (out, stats) =
@@ -192,6 +210,7 @@ def main():
 
 #[test]
 fn nested_parallel_arms_inside_parallel_for_complete() {
+    let _guard = exclusive();
     let src = "\
 def main():
     total = 0
@@ -206,7 +225,7 @@ def main():
     let (tx, rx) = mpsc::channel();
     let src_owned = src.to_string();
     std::thread::spawn(move || {
-        let _ = tx.send(run_interp(&src_owned, 2, true));
+        let _ = tx.send(run_interp(&src_owned, 2));
     });
     let (out, _) = rx
         .recv_timeout(Duration::from_secs(60))
@@ -268,52 +287,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Generated bodies inside a single-item `parallel for` (deterministic
-    /// output): the pool path and the spawn path must print the same thing.
+    /// output): every scheduler must print the same thing.
     #[test]
-    fn generated_parallel_bodies_agree_with_and_without_pool(
+    fn generated_parallel_bodies_agree_across_schedulers(
         stmts in prop::collection::vec(mini_stmt(), 1..5)
     ) {
+        let _guard = exclusive();
         let mut body = String::new();
         render(&stmts, 2, &mut body);
         let src = format!(
             "def main():\n    a = 1\n    b = 2\n    c = 3\n    \
              parallel for w in [7]:\n{body}    print(a, \" \", b, \" \", c)\n"
         );
-        let (pooled, _) = run_interp(&src, 4, true);
-        let (spawned, _) = run_interp(&src, 4, false);
-        prop_assert_eq!(&pooled, &spawned, "pool changed output for:\n{}", src);
+        assert_schedulers_agree(&src, 4);
     }
 
     /// Order-independent accumulation over many items: every chunking —
-    /// static spawn, pool, VM dynamic or static — must reach the same sum.
+    /// one pool worker or three, VM dynamic or static — must reach the
+    /// same, correct sum.
     #[test]
     fn generated_accumulations_agree_across_all_schedulers(
         n in 1i64..24,
         mult in 1i64..5,
     ) {
+        let _guard = exclusive();
         let src = format!(
             "def main():\n    total = 0\n    parallel for i in [1 ... {n}]:\n        \
              lock t:\n            total += i * {mult}\n    print(total)\n"
         );
-        let (pooled, _) = run_interp(&src, 3, true);
-        let (spawned, _) = run_interp(&src, 3, false);
-        prop_assert_eq!(&pooled, &spawned);
-        let program = compile(&src);
-        let c1 = BufferConsole::new();
-        program
-            .simulate_with(
-                VmConfig { workers: 3, dynamic_chunking: true, ..VmConfig::default() },
-                c1.clone(),
-            )
-            .expect("vm dynamic");
-        let c2 = BufferConsole::new();
-        program
-            .simulate_with(
-                VmConfig { workers: 3, dynamic_chunking: false, ..VmConfig::default() },
-                c2.clone(),
-            )
-            .expect("vm static");
-        prop_assert_eq!(c1.output(), c2.output());
-        prop_assert_eq!(pooled, c2.output());
+        let out = assert_schedulers_agree(&src, 3);
+        prop_assert_eq!(out, format!("{}\n", mult * n * (n + 1) / 2));
     }
 }
