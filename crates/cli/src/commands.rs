@@ -71,16 +71,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
-                if v.contains(',') {
-                    o.thread_list = v
-                        .split(',')
-                        .map(|p| p.trim().parse::<usize>().map_err(|e| e.to_string()))
-                        .collect::<Result<_, _>>()?;
-                } else {
-                    let n = v.parse::<usize>().map_err(|e| e.to_string())?;
+                let list = v
+                    .split(',')
+                    .map(|p| match p.trim().parse::<usize>() {
+                        Ok(0) => Err(format!("--threads counts must be 1 or more\n\n{USAGE}")),
+                        n => n.map_err(|e| e.to_string()),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                if let [n] = list[..] {
                     o.threads = Some(n);
-                    o.thread_list = vec![n];
                 }
+                o.thread_list = list;
             }
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;

@@ -132,6 +132,23 @@ fn bench_prints_speedup_table() {
 }
 
 #[test]
+fn zero_threads_is_a_usage_error() {
+    let program = examples_dir().join("parallel_sum.tet");
+    let runs: [&[&str]; 3] = [
+        &["run", program.to_str().unwrap(), "--threads", "0"],
+        &["sim", program.to_str().unwrap(), "--threads", "0"],
+        &["bench", "primes", "--scale", "100", "--threads", "1,0"],
+    ];
+    for args in runs {
+        let out = tetra().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table or output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--threads") && err.contains("USAGE"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn deadlock_detection_from_cli() {
     let out = tetra().arg("run").arg(examples_dir().join("deadlock.tet")).output().unwrap();
     assert!(!out.status.success());

@@ -55,14 +55,32 @@ impl State {
     }
 }
 
+/// One entry of the debugger's event log: a statement a thread reached
+/// (kept by tracers only) or an execution event from the interpreter.
+#[derive(Debug, Clone)]
+pub enum TraceEvent {
+    Statement { id: u32, line: u32 },
+    Exec(ExecEvent),
+}
+
+impl TraceEvent {
+    /// The thread the entry belongs to.
+    pub fn thread(&self) -> u32 {
+        match self {
+            TraceEvent::Statement { id, .. } => *id,
+            TraceEvent::Exec(ev) => ev.thread(),
+        }
+    }
+}
+
 /// The debugger. Create one, pass it to
 /// [`tetra_interp::Interp::with_hook`], and drive it from any thread.
 pub struct Debugger {
     state: Mutex<State>,
     cv: Condvar,
-    events: Mutex<Vec<ExecEvent>>,
+    events: Mutex<Vec<TraceEvent>>,
     race: Mutex<LocksetDetector>,
-    /// Record every `Statement` event (noisy; great for timelines).
+    /// Record every statement a thread reaches (noisy; great for timelines).
     record_statements: bool,
 }
 
@@ -205,7 +223,7 @@ impl Debugger {
     }
 
     /// Everything recorded so far.
-    pub fn events(&self) -> Vec<ExecEvent> {
+    pub fn events(&self) -> Vec<TraceEvent> {
         self.events.lock().clone()
     }
 
@@ -217,6 +235,10 @@ impl Debugger {
 
 impl DebugHook for Debugger {
     fn on_statement(&self, point: &HookPoint<'_>) -> HookDecision {
+        if self.record_statements {
+            let (id, line) = (point.thread_id, point.line);
+            self.events.lock().push(TraceEvent::Statement { id, line });
+        }
         let mut st = self.state.lock();
         if st.stopping {
             return HookDecision::Stop;
@@ -259,12 +281,11 @@ impl DebugHook for Debugger {
             }
             ExecEvent::ThreadStart { id, .. } => self.race.lock().on_thread_start(*id),
             ExecEvent::ThreadEnd { id } => self.race.lock().on_thread_end(*id),
-            ExecEvent::Statement { .. } if !self.record_statements => return,
             _ => {}
         }
         // Reads/writes are too noisy to keep; everything else is recorded.
         if !matches!(ev, ExecEvent::Read { .. } | ExecEvent::Write { .. }) {
-            self.events.lock().push(ev.clone());
+            self.events.lock().push(TraceEvent::Exec(ev.clone()));
         }
     }
 }

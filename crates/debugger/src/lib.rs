@@ -15,7 +15,7 @@ pub mod engine;
 pub mod race;
 pub mod timeline;
 
-pub use engine::{Debugger, PausedThread};
+pub use engine::{Debugger, PausedThread, TraceEvent};
 pub use race::RaceReport;
 
 #[cfg(test)]
@@ -347,8 +347,14 @@ def main():
         interp.run().unwrap();
         let events = dbg.events();
         use tetra_interp::hooks::ExecEvent;
-        let starts = events.iter().filter(|e| matches!(e, ExecEvent::ThreadStart { .. })).count();
-        let ends = events.iter().filter(|e| matches!(e, ExecEvent::ThreadEnd { .. })).count();
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Exec(ExecEvent::ThreadStart { .. })))
+            .count();
+        let ends = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Exec(ExecEvent::ThreadEnd { .. })))
+            .count();
         assert_eq!(starts, 2, "two parallel children");
         assert_eq!(ends, 3, "two children + main finish events");
     }

@@ -14,6 +14,7 @@
 //!                     | lock `largest` ✓    |
 //! ```
 
+use crate::TraceEvent;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use tetra_interp::hooks::ExecEvent;
@@ -21,12 +22,15 @@ use tetra_interp::hooks::ExecEvent;
 const COL_WIDTH: usize = 22;
 
 /// Short cell text for one event.
-fn cell(ev: &ExecEvent) -> String {
+fn cell(ev: &TraceEvent) -> String {
+    let ev = match ev {
+        TraceEvent::Statement { line, .. } => return format!("line {line}"),
+        TraceEvent::Exec(ev) => ev,
+    };
     match ev {
         ExecEvent::ThreadStart { parent: Some(p), .. } => format!("started by T{p}"),
         ExecEvent::ThreadStart { .. } => "started".to_string(),
         ExecEvent::ThreadEnd { .. } => "finished".to_string(),
-        ExecEvent::Statement { line, .. } => format!("line {line}"),
         ExecEvent::LockWait { name, .. } => format!("wait lock `{name}`"),
         ExecEvent::LockAcquired { name, .. } => format!("lock `{name}` ✓"),
         ExecEvent::LockReleased { name, .. } => format!("unlock `{name}`"),
@@ -36,7 +40,7 @@ fn cell(ev: &ExecEvent) -> String {
 }
 
 /// Render events into a column-per-thread timeline.
-pub fn render(events: &[ExecEvent]) -> String {
+pub fn render(events: &[TraceEvent]) -> String {
     // Column order: first appearance.
     let mut columns: BTreeMap<u32, usize> = BTreeMap::new();
     let mut kinds: BTreeMap<u32, String> = BTreeMap::new();
@@ -44,7 +48,7 @@ pub fn render(events: &[ExecEvent]) -> String {
         let id = ev.thread();
         let next = columns.len();
         columns.entry(id).or_insert(next);
-        if let ExecEvent::ThreadStart { kind, .. } = ev {
+        if let TraceEvent::Exec(ExecEvent::ThreadStart { kind, .. }) = ev {
             kinds.insert(id, kind.label().to_string());
         }
     }
@@ -90,18 +94,25 @@ mod tests {
 
     #[test]
     fn renders_columns_per_thread() {
+        use TraceEvent::{Exec, Statement};
         let events = vec![
-            ExecEvent::ThreadStart { id: 0, kind: ThreadKind::Main, parent: None, line: 1 },
-            ExecEvent::Statement { id: 0, line: 2 },
-            ExecEvent::ThreadStart { id: 1, kind: ThreadKind::Parallel, parent: Some(0), line: 3 },
-            ExecEvent::Statement { id: 1, line: 4 },
-            ExecEvent::LockAcquired { id: 1, name: "m".into(), line: 5 },
-            ExecEvent::ThreadEnd { id: 1 },
+            Exec(ExecEvent::ThreadStart { id: 0, kind: ThreadKind::Main, parent: None, line: 1 }),
+            Statement { id: 0, line: 2 },
+            Exec(ExecEvent::ThreadStart {
+                id: 1,
+                kind: ThreadKind::Parallel,
+                parent: Some(0),
+                line: 3,
+            }),
+            Statement { id: 1, line: 4 },
+            Exec(ExecEvent::LockAcquired { id: 1, name: "m".into(), line: 5 }),
+            Exec(ExecEvent::ThreadEnd { id: 1 }),
         ];
         let text = render(&events);
         assert!(text.contains("T0 (main)"), "{text}");
         assert!(text.contains("T1 (parallel)"), "{text}");
         assert!(text.contains("lock `m`"), "{text}");
+        assert!(text.contains("started by T0"), "{text}");
         // T1's events are in the second column (indented past col 1).
         let line4_row = text.lines().find(|l| l.contains("line 4")).unwrap();
         assert!(line4_row.find("line 4").unwrap() >= COL_WIDTH, "{text}");

@@ -46,11 +46,6 @@ pub enum ExecEvent {
     ThreadEnd {
         id: u32,
     },
-    /// About to execute the statement at `line`.
-    Statement {
-        id: u32,
-        line: u32,
-    },
     LockWait {
         id: u32,
         name: Symbol,
@@ -89,35 +84,11 @@ impl ExecEvent {
         match self {
             ExecEvent::ThreadStart { id, .. }
             | ExecEvent::ThreadEnd { id }
-            | ExecEvent::Statement { id, .. }
             | ExecEvent::LockWait { id, .. }
             | ExecEvent::LockAcquired { id, .. }
             | ExecEvent::LockReleased { id, .. }
             | ExecEvent::Read { id, .. }
             | ExecEvent::Write { id, .. } => *id,
-        }
-    }
-
-    /// One-line rendering for trace output.
-    pub fn describe(&self) -> String {
-        match self {
-            ExecEvent::ThreadStart { id, kind, parent, line } => match parent {
-                Some(p) => format!("T{id} started ({}) by T{p} at line {line}", kind.label()),
-                None => format!("T{id} started ({})", kind.label()),
-            },
-            ExecEvent::ThreadEnd { id } => format!("T{id} finished"),
-            ExecEvent::Statement { id, line } => format!("T{id} line {line}"),
-            ExecEvent::LockWait { id, name, line } => {
-                format!("T{id} waiting for lock `{name}` at line {line}")
-            }
-            ExecEvent::LockAcquired { id, name, line } => {
-                format!("T{id} acquired lock `{name}` at line {line}")
-            }
-            ExecEvent::LockReleased { id, name } => format!("T{id} released lock `{name}`"),
-            ExecEvent::Read { id, name, line, .. } => format!("T{id} read {name} at line {line}"),
-            ExecEvent::Write { id, name, line, .. } => {
-                format!("T{id} wrote {name} at line {line}")
-            }
         }
     }
 }
@@ -161,27 +132,5 @@ pub trait DebugHook: Send + Sync {
     /// writes). Must not block.
     fn on_event(&self, ev: &ExecEvent) {
         let _ = ev;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn event_describe_mentions_thread_and_line() {
-        let ev = ExecEvent::LockAcquired { id: 3, name: "m".into(), line: 12 };
-        let d = ev.describe();
-        assert!(d.contains("T3"), "{d}");
-        assert!(d.contains("`m`"), "{d}");
-        assert!(d.contains("12"), "{d}");
-        assert_eq!(ev.thread(), 3);
-    }
-
-    #[test]
-    fn thread_start_shows_parent() {
-        let ev =
-            ExecEvent::ThreadStart { id: 2, kind: ThreadKind::Parallel, parent: Some(0), line: 9 };
-        assert!(ev.describe().contains("by T0"));
     }
 }

@@ -237,7 +237,6 @@ impl ThreadCtx {
         }
         self.poll_gc();
         if let Some(hook) = self.shared.hook.clone() {
-            hook.on_event(&ExecEvent::Statement { id: self.cell.id, line: self.line });
             let decision = {
                 let view = InspectView(self);
                 let point = HookPoint {

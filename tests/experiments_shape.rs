@@ -1,6 +1,7 @@
-//! E5–E8 shape tests: quick versions of the benchmark harness asserting
-//! the *qualitative* results the paper reports (who wins, by roughly what
-//! factor) — the full tables come from `cargo bench` / EXPERIMENTS.md.
+//! E5–E8 shape tests: small instances asserting the *qualitative* results
+//! the paper reports (who wins, by roughly what factor). The full
+//! virtual-time tables come from `tetra bench` (EXPERIMENTS.md); wall clock
+//! comes from `perfbench/`.
 
 use tetra::experiments::{simulated_speedup, simulated_speedup_with};
 use tetra::vm::CostModel;

@@ -7,6 +7,7 @@
 //! allocation, builtin, sleep), GIL mode, the single-runnable quantum
 //! fast path and instruction-by-instruction multi-runnable stepping.
 
+use tetra::experiments::simulated_speedup;
 use tetra::vm::CostModel;
 use tetra::{programs, BufferConsole, Tetra, VmConfig};
 
@@ -94,4 +95,14 @@ fn dynamic_chunking_beats_static_on_the_skewed_loop() {
     let stat = virtual_time(&src, 4, false, CostModel::default());
     let ratio = stat as f64 / dynamic as f64;
     assert!(ratio >= 1.3, "static/dynamic = {stat}/{dynamic} = {ratio:.2}x, below 1.3x");
+}
+
+/// The E5 gate: the paper's primes workload at the scale EXPERIMENTS.md
+/// reports must keep a virtual speedup above 1.5x at four threads.
+#[test]
+fn primes_virtual_speedup_exceeds_one_and_a_half_at_four_threads() {
+    let rows = simulated_speedup(&programs::primes(20_000, 64), &[1, 4]).expect("primes sweep");
+    let (t1, t4) = (rows[0].elapsed, rows[1].elapsed);
+    let speedup = rows[1].speedup;
+    assert!(speedup > 1.5, "T=1/T=4 = {t1}/{t4} = {speedup:.2}x, not above 1.5x");
 }
