@@ -307,6 +307,7 @@ impl ThreadCtx {
             roots: &view,
             console: &self.shared.console,
             thread: Some(&self.cell),
+            rng: None,
             line: self.line,
         };
         tetra_stdlib::call_builtin(b, &ctx, args)

@@ -2,8 +2,9 @@
 //!
 //! Implements exactly the surface the workspace uses — `thread_rng()`, the
 //! [`Rng`] trait with `gen::<f64>()`, `gen::<u64>()`, `gen_bool` and
-//! `gen_range` over integer ranges — on top of a xoshiro256++ generator
-//! seeded per thread from the system clock and a process-wide counter.
+//! `gen_range` over integer ranges, and [`SeedableRng::seed_from_u64`] for
+//! [`rngs::StdRng`] — on top of a xoshiro256++ generator seeded per thread
+//! from the system clock and a process-wide counter, or from a fixed seed.
 //! Not cryptographically secure; the language's `random()` builtin makes no
 //! such promise either.
 
@@ -33,16 +34,11 @@ impl ThreadRng {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
-        let mut seed = nanos
-            ^ SEED_COUNTER.fetch_add(0x9E37_79B9, Ordering::Relaxed)
-            ^ (std::process::id() as u64) << 32;
-        let s = [
-            splitmix64(&mut seed),
-            splitmix64(&mut seed),
-            splitmix64(&mut seed),
-            splitmix64(&mut seed),
-        ];
-        ThreadRng { s }
+        ThreadRng::seed_from_u64(
+            nanos
+                ^ SEED_COUNTER.fetch_add(0x9E37_79B9, Ordering::Relaxed)
+                ^ (std::process::id() as u64) << 32,
+        )
     }
 
     #[inline]
@@ -57,6 +53,30 @@ impl ThreadRng {
         self.s[3] = self.s[3].rotate_left(45);
         result
     }
+}
+
+/// Generators that can be built from a fixed seed (subset of rand's
+/// `SeedableRng`): the same seed always yields the same stream.
+pub trait SeedableRng: Sized {
+    fn seed_from_u64(seed: u64) -> Self;
+}
+
+impl SeedableRng for ThreadRng {
+    fn seed_from_u64(mut seed: u64) -> ThreadRng {
+        let s = [
+            splitmix64(&mut seed),
+            splitmix64(&mut seed),
+            splitmix64(&mut seed),
+            splitmix64(&mut seed),
+        ];
+        ThreadRng { s }
+    }
+}
+
+/// Named generators (subset of rand's `rngs` module).
+pub mod rngs {
+    /// The seedable generator; the same xoshiro256++ as [`crate::thread_rng`].
+    pub type StdRng = crate::ThreadRng;
 }
 
 thread_local! {
@@ -200,6 +220,18 @@ mod tests {
             hi_seen |= v == 3;
         }
         assert!(lo_seen && hi_seen);
+    }
+
+    #[test]
+    fn equal_seeds_replay_the_same_stream() {
+        let mut a = rngs::StdRng::seed_from_u64(7);
+        let mut b = rngs::StdRng::seed_from_u64(7);
+        let mut c = rngs::StdRng::seed_from_u64(8);
+        let xs: Vec<u64> = (0..4).map(|_| a.gen::<u64>()).collect();
+        let ys: Vec<u64> = (0..4).map(|_| b.gen::<u64>()).collect();
+        let zs: Vec<u64> = (0..4).map(|_| c.gen::<u64>()).collect();
+        assert_eq!(xs, ys);
+        assert_ne!(xs, zs);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! and every intermediate allocation is rooted before the next one.
 
 use crate::registry::Builtin;
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 use tetra_runtime::{
@@ -21,6 +24,9 @@ pub struct HostCtx<'a> {
     pub console: &'a ConsoleRef,
     /// The Tetra thread cell, when running under an engine that tracks one.
     pub thread: Option<&'a Arc<ThreadCell>>,
+    /// The generator behind `random()`/`rand_int()`: a fixed-seed one for
+    /// reproducible runs, or `None` for the clock-seeded `thread_rng()`.
+    pub rng: Option<&'a RefCell<StdRng>>,
     /// Source line of the call (for errors).
     pub line: u32,
 }
@@ -38,6 +44,14 @@ impl RootSource for WithValues<'_> {
         for v in self.extra {
             sink.value(*v);
         }
+    }
+}
+
+/// Draw from the host's generator (see [`HostCtx::rng`]).
+fn draw<T>(ctx: &HostCtx, f: impl FnOnce(&mut StdRng) -> T) -> T {
+    match ctx.rng {
+        Some(rng) => f(&mut rng.borrow_mut()),
+        None => f(&mut rand::thread_rng()),
     }
 }
 
@@ -251,18 +265,14 @@ pub fn call_builtin(b: Builtin, ctx: &HostCtx, args: &[Value]) -> Result<Value, 
             Ok(Value::Real(x.ln()))
         }
         Exp => Ok(Value::Real(num(ctx, b, &args[0])?.exp())),
-        Random => {
-            use rand::Rng;
-            Ok(Value::Real(rand::thread_rng().gen::<f64>()))
-        }
+        Random => Ok(Value::Real(draw(ctx, |rng| rng.gen::<f64>()))),
         RandInt => {
-            use rand::Rng;
             let lo = int(ctx, b, &args[0])?;
             let hi = int(ctx, b, &args[1])?;
             if lo > hi {
                 return Err(verr(ctx, format!("rand_int range is empty: {lo} > {hi}")));
             }
-            Ok(Value::Int(rand::thread_rng().gen_range(lo..=hi)))
+            Ok(Value::Int(draw(ctx, |rng| rng.gen_range(lo..=hi))))
         }
 
         // ---- conversions ----
@@ -610,6 +620,7 @@ mod tests {
                 roots: &KeptRoots(self, args),
                 console: &console,
                 thread: None,
+                rng: None,
                 line: 1,
             };
             let result = call_builtin(b, &ctx, args);

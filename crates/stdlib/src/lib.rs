@@ -22,5 +22,8 @@ pub mod sig;
 
 pub use eval::{call_builtin, HostCtx};
 pub use ops::OpCtx;
+/// The seedable generator [`HostCtx::rng`] takes, re-exported so engines
+/// need no direct `rand` dependency.
+pub use rand::{rngs::StdRng, SeedableRng};
 pub use registry::Builtin;
 pub use sig::{check_builtin_call, compatible};

@@ -8,9 +8,10 @@
 //! * [`compile()`] lowers a checked program to stack bytecode with
 //!   slot-resolved variables and thunks for the parallel constructs;
 //! * [`run`] executes it under a deterministic scheduler: VM threads are
-//!   interleaved one instruction at a time in virtual-time order, so runs
-//!   are exactly reproducible and `parallel` speedup can be *measured in
-//!   virtual time* even on a single-core machine;
+//!   interleaved in virtual-time order (private instructions run ahead and
+//!   are charged later, in closed form), so runs are exactly reproducible
+//!   and `parallel` speedup can be *measured in virtual time* even on a
+//!   single-core machine;
 //! * [`disassemble`] renders the bytecode (`tetra disasm`).
 //!
 //! ## Example

@@ -1,10 +1,34 @@
 //! The deterministic scheduler and virtual-time simulator.
 //!
 //! This is the substitution for the paper's 8-core testbed (DESIGN.md §2):
-//! VM threads are interleaved one instruction at a time — always the
-//! runnable thread with the smallest virtual clock — so runs are exactly
-//! reproducible on any host, including the single-core CI container this
-//! reproduction was built in.
+//! VM threads are interleaved in virtual-time order — the next instruction
+//! always belongs to the runnable thread with the smallest `(clock, id)`
+//! key — so runs are exactly reproducible on any host, whatever its core
+//! count.
+//!
+//! **Deferred charging.** Under the default cost model runnable threads
+//! settle into lockstep one unit apart, so picking per instruction (or
+//! batching "until the runner-up") means one scan and one full
+//! [`VmThread::step`] per instruction. Instead a thread runs *private*
+//! instructions ahead of their virtual time: everything
+//! [`VmThread::step_quantum`] accepts is `Basic`, allocation-free, and
+//! touches only the thread's own top-frame locals and operand stack, so no
+//! other thread can observe when it ran. The thread carries an `uncharged`
+//! count; each pick settles it in closed form — the first instruction is
+//! one ordinary charge (it may wait on the shared resource), every later
+//! one adds exactly `parallel + serial` — as far as the thread's key stays
+//! below the runner-up's. Every other instruction (allocation, builtins,
+//! enclosing-frame access, call/return, locks, spawns, errors) steps only
+//! when its thread has nothing uncharged and holds the smallest key: the
+//! position the one-instruction-at-a-time order gives it. Output, lock
+//! order, virtual time and every count are therefore those of that order.
+//!
+//! The exception is a `background:` child, which reads its still-running
+//! parent's frame: while one is live, run-ahead stops at the runner-up
+//! bound. Run-ahead never allocates, but a `StoreLocal` or `Pop` may drop
+//! an object reference before a collection another thread triggers, which
+//! may then reclaim the object one collection sooner; runs stay
+//! deterministic.
 //!
 //! Virtual time models the paper's own explanation of its 62.5 % efficiency:
 //! "the sharing of data structures amongst interpreter threads" (§IV).
@@ -19,11 +43,13 @@
 
 use crate::bytecode::CompiledProgram;
 use crate::vm::{CostClass, Feed, FeedShare, Outcome, Registry, Table, VmState, VmThread, World};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tetra_runtime::{
     ConsoleRef, ErrorKind, GcStats, Heap, HeapConfig, MutatorGuard, RuntimeError, Value,
 };
+use tetra_stdlib::{SeedableRng, StdRng};
 
 /// Virtual-time cost model (all in abstract "units").
 #[derive(Debug, Clone)]
@@ -109,6 +135,16 @@ pub struct SimStats {
     pub gc: GcStats,
 }
 
+/// Most instructions one `step_quantum` call may run ahead.
+const QUANTUM: u64 = 256;
+
+/// Seed of the simulator's `random()`/`rand_int()` generator: a simulated
+/// run draws the same numbers, in scheduler order, every time.
+const RNG_SEED: u64 = 0x7e7a_5eed;
+
+/// A thread's scheduling key: `(virtual clock, id)`, smallest runs next.
+type Key = (u64, u32);
+
 struct SimLock {
     holder: Option<u32>,
     /// Line where the holder took the lock (for re-entry messages).
@@ -139,7 +175,13 @@ struct Scheduler<'p> {
     mutator: MutatorGuard,
     registry: Arc<Registry>,
     console: ConsoleRef,
+    /// Every thread ever created, indexed by id (`Done` ones included).
     threads: Vec<VmThread>,
+    /// Ids of the `Runnable` threads, in no particular order.
+    runnable: Vec<u32>,
+    /// `background:` threads not yet `Done`.
+    background_live: u32,
+    rng: RefCell<StdRng>,
     locks: HashMap<String, SimLock>,
     /// Shared-runtime resource availability (virtual time).
     runtime_free: u64,
@@ -161,6 +203,9 @@ impl<'p> Scheduler<'p> {
             registry,
             console,
             threads: Vec::new(),
+            runnable: Vec::new(),
+            background_live: 0,
+            rng: RefCell::new(StdRng::seed_from_u64(RNG_SEED)),
             locks: HashMap::new(),
             runtime_free: 0,
             next_id: 0,
@@ -183,6 +228,7 @@ impl<'p> Scheduler<'p> {
         let mut t = VmThread::new(id, parent, unit, locals, outers, &self.registry, shadow_node);
         t.vtime = at_time;
         self.threads.push(t);
+        self.runnable.push(id);
         id
     }
 
@@ -190,25 +236,85 @@ impl<'p> Scheduler<'p> {
         &mut self.threads[id as usize]
     }
 
-    /// Charge `n` (≥ 1) consecutive instructions of one cost class to the
-    /// thread at `idx`: each pays `parallel` on the thread's own clock and
-    /// `serial` on the shared runtime resource. In GIL mode the whole cost
-    /// queues on the resource. Back-to-back instructions of one thread
-    /// never wait on each other, so `n` of them cost exactly `n` single
-    /// charges, computed here in closed form.
-    fn charge(&mut self, idx: usize, parallel: u64, serial: u64, n: u64) {
-        let thread = &mut self.threads[idx];
+    /// Move thread `id` to `state`, keeping `runnable` in step.
+    fn set_state(&mut self, id: u32, state: VmState) {
+        let t = &mut self.threads[id as usize];
+        let (was, now) = (t.state == VmState::Runnable, state == VmState::Runnable);
+        t.state = state;
+        if was && !now {
+            let pos = self.runnable.iter().position(|r| *r == id).expect("runnable thread listed");
+            self.runnable.swap_remove(pos);
+        } else if now && !was {
+            self.runnable.push(id);
+        }
+    }
+
+    /// The runnable thread with the smallest key, and the runner-up's key
+    /// (`None` when it is the only runnable thread).
+    fn pick(&self) -> Option<(usize, Option<Key>)> {
+        let mut best: Option<Key> = None;
+        let mut runner_up: Option<Key> = None;
+        for &id in &self.runnable {
+            let key = (self.threads[id as usize].vtime, id);
+            if best.is_none_or(|b| key < b) {
+                runner_up = best;
+                best = Some(key);
+            } else if runner_up.is_none_or(|r| key < r) {
+                runner_up = Some(key);
+            }
+        }
+        best.map(|(_, id)| (id as usize, runner_up))
+    }
+
+    /// Whether the thread at `idx` still holds the smallest key.
+    fn leads(&self, idx: usize, runner_up: Option<Key>) -> bool {
+        let t = &self.threads[idx];
+        runner_up.is_none_or(|r| (t.vtime, t.id) < r)
+    }
+
+    /// The clock after `n` (≥ 1) consecutive instructions of one cost
+    /// class starting at `vtime`: each pays `parallel` on the thread's own
+    /// clock and `serial` on the shared runtime resource. In GIL mode the
+    /// whole cost queues on the resource. Back-to-back instructions of one
+    /// thread never wait on each other, so `n` of them cost exactly `n`
+    /// single charges, computed here in closed form.
+    fn charged(&self, vtime: u64, parallel: u64, serial: u64, n: u64) -> u64 {
         if self.config.cost.gil {
-            let start = thread.vtime.max(self.runtime_free);
-            thread.vtime = start + n * (parallel + serial);
-            self.runtime_free = thread.vtime;
+            vtime.max(self.runtime_free) + n * (parallel + serial)
         } else if serial > 0 {
-            thread.vtime += parallel;
-            let start = thread.vtime.max(self.runtime_free);
-            thread.vtime = start + serial + (n - 1) * (parallel + serial);
-            self.runtime_free = thread.vtime;
+            (vtime + parallel).max(self.runtime_free) + serial + (n - 1) * (parallel + serial)
         } else {
-            thread.vtime += n * parallel;
+            vtime + n * parallel
+        }
+    }
+
+    /// Charge `n` (≥ 1) consecutive instructions to the thread at `idx`
+    /// (see [`Scheduler::charged`]).
+    fn charge(&mut self, idx: usize, parallel: u64, serial: u64, n: u64) {
+        let vtime = self.charged(self.threads[idx].vtime, parallel, serial, n);
+        self.threads[idx].vtime = vtime;
+        if self.config.cost.gil || serial > 0 {
+            self.runtime_free = vtime;
+        }
+    }
+
+    /// How many `Basic` instructions the thread at `idx`, which holds the
+    /// smallest key, runs back to back before its key passes `runner_up`:
+    /// the first always, then one more for each `parallel + serial` step
+    /// that keeps its clock below the runner-up's.
+    fn fit(&self, idx: usize, runner_up: Option<Key>) -> u64 {
+        let Some((rival_time, rival_id)) = runner_up else {
+            return u64::MAX;
+        };
+        let t = &self.threads[idx];
+        let (parallel, serial) = self.config.cost.price(CostClass::Basic);
+        let first = self.charged(t.vtime, parallel, serial, 1);
+        // The thread keeps the lead while its clock is below `bound`.
+        let bound = if t.id < rival_id { rival_time.saturating_add(1) } else { rival_time };
+        match (bound.saturating_sub(first), parallel + serial) {
+            (0, _) => 1,
+            (_, 0) => u64::MAX,
+            (gap, step) => 1 + gap.div_ceil(step),
         }
     }
 
@@ -227,20 +333,7 @@ impl<'p> Scheduler<'p> {
         self.new_thread(None, main_unit, locals, Vec::new(), 0, main_node);
 
         loop {
-            // Pick the runnable thread with the smallest virtual clock
-            // (ties by id → fully deterministic).
-            let mut runnable = 0u32;
-            let mut tid_opt: Option<(u64, u32)> = None;
-            for t in &self.threads {
-                if t.state == VmState::Runnable {
-                    runnable += 1;
-                    let key = (t.vtime, t.id);
-                    if tid_opt.is_none() || key < tid_opt.unwrap() {
-                        tid_opt = Some(key);
-                    }
-                }
-            }
-            let Some((_, tid)) = tid_opt else {
+            let Some((idx, runner_up)) = self.pick() else {
                 if self.threads.iter().all(|t| t.state == VmState::Done) {
                     break;
                 }
@@ -263,99 +356,12 @@ impl<'p> Scheduler<'p> {
                 if let Some(entry) = self.locks.get_mut(&want) {
                     entry.waiters.retain(|w| *w != victim);
                 }
-                self.thread(victim).state = VmState::Runnable;
+                self.set_state(victim, VmState::Runnable);
                 self.thread(victim).advance_ip();
                 self.deliver(victim, err)?;
                 continue;
             };
-
-            // Run the chosen thread for a bounded batch of instructions —
-            // but only while it is the ONLY runnable thread. With several
-            // runnable threads the scheduler must interleave instruction by
-            // instruction so the virtual-time resource queueing (and lock
-            // acquisition order) is modeled faithfully; with one thread,
-            // batching is semantically identical and slashes overhead.
-            let batch: u32 = if runnable == 1 { 256 } else { 1 };
-            let idx = tid as usize;
-            let mut pending: Option<Outcome> = None;
-            // Dispatch spans are flushed whenever the thread's shadow call
-            // path changes (Call/Return), so each VmDispatch event covers
-            // exactly one call path and can feed the flame output.
-            let mut batch_start = tetra_obs::now_ns();
-            let mut batch_node = self.threads[idx].current_shadow_node();
-            let mut batch_count: u32 = 0;
-            let mut dispatched: u32 = 0;
-            while dispatched < batch {
-                // Fast path within the quantum: run allocation-free
-                // instructions under a single locals/stack lock acquisition
-                // instead of relocking per instruction. All of them cost
-                // `Basic`, charged in one call.
-                if batch > 1 {
-                    let world = World {
-                        program: self.program,
-                        heap: &self.heap,
-                        mutator: &self.mutator,
-                        registry: &self.registry,
-                        console: &self.console,
-                    };
-                    let n = self.threads[idx].step_quantum(&world, batch - dispatched);
-                    if n > 0 {
-                        self.instructions += n as u64;
-                        dispatched += n;
-                        // The quantum never executes Call/Return, so the
-                        // shadow node cannot have changed.
-                        batch_count += n;
-                        let (parallel, serial) = self.config.cost.price(CostClass::Basic);
-                        self.charge(idx, parallel, serial, n as u64);
-                        if dispatched >= batch {
-                            break;
-                        }
-                    }
-                }
-                // Disjoint field borrows: the stepped thread is mutable;
-                // the world pieces are other fields.
-                let world = World {
-                    program: self.program,
-                    heap: &self.heap,
-                    mutator: &self.mutator,
-                    registry: &self.registry,
-                    console: &self.console,
-                };
-                let stepped = self.threads[idx].step(&world);
-                self.instructions += 1;
-                dispatched += 1;
-                batch_count += 1;
-                let (outcome, cost) = match stepped {
-                    Ok(x) => x,
-                    Err(e) => {
-                        // Raise into the thread's handlers (or its parent).
-                        self.deliver(tid, e)?;
-                        pending = None;
-                        break;
-                    }
-                };
-                let (parallel, serial) = self.config.cost.price(cost);
-                self.charge(idx, parallel, serial, 1);
-                // A Call or Return moved the thread onto a different call
-                // path: flush the batch so far under the old node.
-                let node = self.threads[idx].current_shadow_node();
-                if node != batch_node {
-                    tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
-                    batch_start = tetra_obs::now_ns();
-                    batch_count = 0;
-                    batch_node = node;
-                }
-                if !matches!(outcome, Outcome::Normal) {
-                    pending = Some(outcome);
-                    break;
-                }
-            }
-            if batch_count > 0 {
-                tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
-            }
-            if let Some(outcome) = pending {
-                self.handle(tid, outcome)?;
-            }
+            self.dispatch(idx, runner_up)?;
         }
 
         // One flush at end of simulation, mirroring the interpreter: the
@@ -368,6 +374,71 @@ impl<'p> Scheduler<'p> {
             lock_contentions: self.lock_contentions,
             gc: self.heap.stats(),
         })
+    }
+
+    /// Run the thread at `idx`, which holds the smallest key, for as long
+    /// as it keeps it: settle its uncharged instructions, run the next
+    /// quantum ahead, or step the instruction at its frontier. Returns
+    /// once its key passes `runner_up`, or after a step whose outcome may
+    /// change which threads are runnable.
+    fn dispatch(&mut self, idx: usize, runner_up: Option<Key>) -> Result<(), RuntimeError> {
+        let tid = idx as u32;
+        let (parallel, serial) = self.config.cost.price(CostClass::Basic);
+        while self.leads(idx, runner_up) {
+            let pending = self.threads[idx].uncharged;
+            if pending > 0 {
+                let n = pending.min(self.fit(idx, runner_up));
+                self.charge(idx, parallel, serial, n);
+                self.threads[idx].uncharged -= n;
+                continue;
+            }
+            // Dispatch events cover one quantum or one step, under the call
+            // path it ran on, so they can feed the flame output.
+            let start = tetra_obs::now_ns();
+            let node = self.threads[idx].current_shadow_node();
+            let world = World {
+                program: self.program,
+                heap: &self.heap,
+                mutator: &self.mutator,
+                registry: &self.registry,
+                console: &self.console,
+                rng: &self.rng,
+            };
+            if !self.threads[idx].at_step {
+                // A live `background:` child may read a running parent's
+                // frame: run no further ahead than the reference order.
+                let max = if self.background_live > 0 {
+                    self.fit(idx, runner_up).min(QUANTUM)
+                } else {
+                    QUANTUM
+                };
+                let t = &mut self.threads[idx];
+                let n = t.step_quantum(&world, max as u32) as u64;
+                t.at_step = n < max;
+                t.uncharged = n;
+                if n > 0 {
+                    self.instructions += n;
+                    tetra_obs::vm_dispatch(tid, n as u32, start, node);
+                    continue;
+                }
+            }
+            let t = &mut self.threads[idx];
+            t.at_step = false;
+            let stepped = t.step(&world);
+            self.instructions += 1;
+            tetra_obs::vm_dispatch(tid, 1, start, node);
+            let (outcome, cost) = match stepped {
+                Ok(x) => x,
+                // Raise into the thread's handlers (or its parent).
+                Err(e) => return self.deliver(tid, e),
+            };
+            let (p, s) = self.config.cost.price(cost);
+            self.charge(idx, p, s, 1);
+            if !matches!(outcome, Outcome::Normal) {
+                return self.handle(tid, outcome);
+            }
+        }
+        Ok(())
     }
 
     fn handle(&mut self, tid: u32, outcome: Outcome) -> Result<(), RuntimeError> {
@@ -396,13 +467,12 @@ impl<'p> Scheduler<'p> {
                     self.thread(id).background = !join;
                     children.push(id);
                 }
-                {
-                    // step() already advanced past the Parallel instruction.
-                    let t = self.thread(tid);
-                    t.vtime += spawn_cost * thunks.len() as u64;
-                    if join {
-                        t.state = VmState::Joining(children);
-                    }
+                // step() already advanced past the Parallel instruction.
+                self.thread(tid).vtime += spawn_cost * thunks.len() as u64;
+                if join {
+                    self.set_state(tid, VmState::Joining(children));
+                } else {
+                    self.background_live += thunks.len() as u32;
                 }
                 Ok(())
             }
@@ -474,12 +544,8 @@ impl<'p> Scheduler<'p> {
                     });
                     children.push(id);
                 }
-                let workers = children.len();
-                {
-                    let t = self.thread(tid);
-                    t.vtime += spawn_cost * workers as u64;
-                    t.state = VmState::Joining(children);
-                }
+                self.thread(tid).vtime += spawn_cost * children.len() as u64;
+                self.set_state(tid, VmState::Joining(children));
                 Ok(())
             }
             Outcome::WantLock { name, line } => {
@@ -529,9 +595,8 @@ impl<'p> Scheduler<'p> {
                     Some(_) => {
                         entry.waiters.push(tid);
                         self.lock_contentions += 1;
-                        let t = self.thread(tid);
-                        t.block_start = (tetra_obs::now_ns(), line);
-                        t.state = VmState::BlockedLock(name);
+                        self.thread(tid).block_start = (tetra_obs::now_ns(), line);
+                        self.set_state(tid, VmState::BlockedLock(name));
                         Ok(())
                     }
                 }
@@ -556,8 +621,8 @@ impl<'p> Scheduler<'p> {
             tetra_obs::lock_hold(tid, name, entry.held_since_ns, entry.holder_node);
             let waiters = std::mem::take(&mut entry.waiters);
             for w in waiters {
+                self.set_state(w, VmState::Runnable);
                 let t = self.thread(w);
-                t.state = VmState::Runnable;
                 t.vtime = t.vtime.max(release_time);
             }
         }
@@ -591,7 +656,7 @@ impl<'p> Scheduler<'p> {
                 if let Some(f) = t.frames.last_mut() {
                     f.ip = h.handler_ip as usize;
                 }
-                t.state = VmState::Runnable;
+                self.set_state(tid, VmState::Runnable);
                 Ok(())
             }
             None => {
@@ -664,15 +729,18 @@ impl<'p> Scheduler<'p> {
             t.stack.write().clear();
             return Ok(());
         }
-        let (end_time, parent) = {
+        self.set_state(tid, VmState::Done);
+        let (end_time, parent, background) = {
             let t = self.thread(tid);
-            t.state = VmState::Done;
             if tetra_obs::enabled() {
                 let name = if tid == 0 { "vm-main".to_string() } else { format!("vm-{tid}") };
                 tetra_obs::thread_span(tid, &name, t.trace_start_ns);
             }
-            (t.vtime, t.parent)
+            (t.vtime, t.parent, t.background)
         };
+        if background {
+            self.background_live -= 1;
+        }
         // Wake a parent joining on this thread once all siblings finished.
         if let Some(pid) = parent {
             let done_children: Vec<u32> = match &self.threads[pid as usize].state {
@@ -689,8 +757,8 @@ impl<'p> Scheduler<'p> {
                     .unwrap_or(end_time);
                 let child_error =
                     done_children.iter().find_map(|c| self.threads[*c as usize].error.take());
+                self.set_state(pid, VmState::Runnable);
                 let p = self.thread(pid);
-                p.state = VmState::Runnable;
                 p.vtime = p.vtime.max(join_time);
                 // The first failing child's error surfaces in the parent at
                 // the join point — where a `try:` around the parallel

@@ -3,8 +3,9 @@
 //! Unlike the tree-walking interpreter, the VM is an explicit machine —
 //! frames, instruction pointers and an operand stack — so execution can be
 //! *stepped*: the deterministic scheduler in [`crate::sched`] interleaves
-//! VM threads one instruction at a time, which is what makes the
-//! virtual-time simulation (and deterministic replay) possible.
+//! VM threads in virtual-time order, instruction by instruction as far as
+//! any other thread can observe, which is what makes the virtual-time
+//! simulation (and deterministic replay) possible.
 //!
 //! All mutable thread state lives behind shared tables registered with a
 //! [`Registry`], which doubles as the GC root source: collection can happen
@@ -12,12 +13,13 @@
 
 use crate::bytecode::{CompiledProgram, Const, Instr};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::sync::{Arc, Weak};
 use tetra_ast::Type;
 use tetra_runtime::{
     ConsoleRef, ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError, Value,
 };
-use tetra_stdlib::{ops, Builtin};
+use tetra_stdlib::{ops, Builtin, StdRng};
 
 /// A shared table of values: one per frame's locals, plus each thread's
 /// operand stack.
@@ -185,7 +187,14 @@ pub struct VmThread {
     pub feed: Option<Feed>,
     /// True for `background:` children (not joined by anyone).
     pub background: bool,
-    pub instructions: u64,
+    /// Instructions [`VmThread::step_quantum`] has executed ahead whose
+    /// virtual time the scheduler has not charged yet.
+    pub uncharged: u64,
+    /// The last quantum stopped short at an instruction only
+    /// [`VmThread::step`] runs, and the thread has not moved since.
+    pub at_step: bool,
+    /// Reused buffer for builtin-call arguments.
+    builtin_args: Vec<Value>,
     /// Installed `try:` handlers, innermost last.
     pub handlers: Vec<Handler>,
     /// Lock names this thread currently holds, in acquisition order.
@@ -253,6 +262,8 @@ pub struct World<'a> {
     pub mutator: &'a MutatorGuard,
     pub registry: &'a Registry,
     pub console: &'a ConsoleRef,
+    /// The run's fixed-seed generator behind `random()`/`rand_int()`.
+    pub rng: &'a RefCell<StdRng>,
 }
 
 impl VmThread {
@@ -275,7 +286,9 @@ impl VmThread {
             vtime: 0,
             feed: None,
             background: false,
-            instructions: 0,
+            uncharged: 0,
+            at_step: false,
+            builtin_args: Vec::new(),
             handlers: Vec::new(),
             held_locks: Vec::new(),
             error: None,
@@ -335,25 +348,34 @@ impl VmThread {
         stack[stack.len() - n..].to_vec()
     }
 
+    /// Read the top `N` values in place (they stay on the stack as GC
+    /// roots), bottom-most first.
+    fn top<const N: usize>(&self) -> [Value; N] {
+        let stack = self.stack.read();
+        let base = stack.len() - N;
+        std::array::from_fn(|i| stack[base + i])
+    }
+
     fn drop_n(&self, n: usize) {
         let mut stack = self.stack.write();
         let len = stack.len();
         stack.truncate(len - n);
     }
 
-    /// Execute a run of cheap, allocation-free instructions while holding
-    /// the frame's locals guard and the operand-stack guard **once**,
-    /// instead of re-acquiring both `RwLock`s for every instruction. The
-    /// scheduler calls this only while this is the sole runnable thread
-    /// (its dispatch quantum), where the coarser locking is unobservable.
+    /// Execute up to `max` cheap, allocation-free instructions while
+    /// holding the frame's locals guard and the operand-stack guard
+    /// **once**, instead of re-acquiring both `RwLock`s for every
+    /// instruction.
     ///
     /// Returns how many instructions ran (possibly 0); every one of them is
-    /// `CostClass::Basic`. Stops *before* any instruction that could
-    /// allocate, raise, block, or change the frame stack — those must go
-    /// through [`VmThread::step`]. The allocation restriction is
-    /// load-bearing: a GC triggered inside the quantum would scan the
-    /// registry's roots, which read-locks every table, including the two
-    /// write guards held here.
+    /// `CostClass::Basic` and touches only this thread's top-frame locals
+    /// and operand stack, which is what lets the scheduler run them ahead
+    /// of their virtual time. Stops *before* any instruction that could
+    /// allocate, raise, block, touch an enclosing frame, or change the
+    /// frame stack — those must go through [`VmThread::step`]. The
+    /// allocation restriction is load-bearing: a GC triggered inside the
+    /// quantum would scan the registry's roots, which read-locks every
+    /// table, including the two write guards held here.
     pub fn step_quantum(&mut self, world: &World, max: u32) -> u32 {
         let program = world.program;
         let stack_arc = self.stack.clone();
@@ -498,7 +520,6 @@ impl VmThread {
         drop(stack);
         drop(locals);
         frame.ip = ip;
-        self.instructions += n as u64;
         n
     }
 
@@ -511,7 +532,6 @@ impl VmThread {
         let unit = program.unit(frame.unit);
         let instr = unit.code[frame.ip].clone();
         let line = unit.line_at(frame.ip);
-        self.instructions += 1;
         if tetra_obs::heap_profile_enabled() {
             // Any allocation this instruction performs is charged to the
             // current call path and source line.
@@ -579,8 +599,8 @@ impl VmThread {
                 *slot = ops::widen_like(Some(*slot), v);
             }
             Instr::Bin(op) => {
-                let operands = self.top_n(2);
-                let r = ops::binary(&octx, op, operands[0], operands[1])?;
+                let [l, r] = self.top();
+                let r = ops::binary(&octx, op, l, r)?;
                 self.drop_n(2);
                 self.push(r);
                 if r.as_obj().is_some() {
@@ -607,9 +627,9 @@ impl VmThread {
                 self.pop(program)?;
             }
             Instr::Dup2 => {
-                let two = self.top_n(2);
-                self.push(two[0]);
-                self.push(two[1]);
+                let mut stack = self.stack.write();
+                let len = stack.len();
+                stack.extend_from_within(len - 2..);
             }
             Instr::Jump(t) => {
                 self.frames.last_mut().unwrap().ip = t as usize;
@@ -640,11 +660,16 @@ impl VmThread {
                 let argc = argc as usize;
                 let callee = program.unit(f);
                 let mut locals = vec![Value::None; callee.nlocals as usize];
-                let args = self.top_n(argc);
-                locals[..argc].copy_from_slice(&args);
-                self.drop_n(argc);
+                // Move the arguments straight into the callee's locals;
+                // nothing allocates on the heap before the table is rooted.
+                let stack_base = {
+                    let mut stack = self.stack.write();
+                    let base = stack.len() - argc;
+                    locals[..argc].copy_from_slice(&stack[base..]);
+                    stack.truncate(base);
+                    base
+                };
                 let locals = world.registry.new_table(locals);
-                let stack_base = self.stack.read().len();
                 // Return to the next instruction.
                 self.frames.last_mut().unwrap().ip += 1;
                 advance = false;
@@ -680,16 +705,28 @@ impl VmThread {
                     self.push(Value::None);
                     cost = CostClass::Sleep(ms);
                 } else {
-                    let args = self.top_n(argc);
+                    // Copy the arguments into the reused buffer (they stay
+                    // on the stack as roots): a builtin may allocate, and a
+                    // collection read-locks the stack, so no guard may be
+                    // held across the call.
+                    let mut args = std::mem::take(&mut self.builtin_args);
+                    args.clear();
+                    {
+                        let stack = self.stack.read();
+                        args.extend_from_slice(&stack[stack.len() - argc..]);
+                    }
                     let hctx = tetra_stdlib::HostCtx {
                         heap: world.heap,
                         mutator: world.mutator,
                         roots: world.registry,
                         console: world.console,
                         thread: None,
+                        rng: Some(world.rng),
                         line,
                     };
-                    let r = tetra_stdlib::call_builtin(b, &hctx, &args)?;
+                    let r = tetra_stdlib::call_builtin(b, &hctx, &args);
+                    self.builtin_args = args;
+                    let r = r?;
                     self.drop_n(argc);
                     self.push(r);
                     cost = CostClass::Builtin;
@@ -719,8 +756,8 @@ impl VmThread {
                 cost = CostClass::Alloc;
             }
             Instr::MakeRange => {
-                let two = self.top_n(2);
-                let (Some(a), Some(b)) = (two[0].as_int(), two[1].as_int()) else {
+                let [a, b] = self.top();
+                let (Some(a), Some(b)) = (a.as_int(), b.as_int()) else {
                     return Err(self.err(program, ErrorKind::Value, "range bounds must be ints"));
                 };
                 const MAX_RANGE: i64 = 50_000_000;
@@ -765,15 +802,15 @@ impl VmThread {
                 cost = CostClass::Alloc;
             }
             Instr::Index => {
-                let two = self.top_n(2);
-                let v = ops::index_read(&octx, two[0], two[1])?;
+                let [seq, idx] = self.top();
+                let v = ops::index_read(&octx, seq, idx)?;
                 self.drop_n(2);
                 self.push(v);
                 cost = CostClass::SharedAccess;
             }
             Instr::IndexStore => {
-                let three = self.top_n(3);
-                ops::index_write(&octx, three[0], three[1], three[2])?;
+                let [seq, idx, v] = self.top();
+                ops::index_write(&octx, seq, idx, v)?;
                 self.drop_n(3);
                 cost = CostClass::SharedAccess;
             }

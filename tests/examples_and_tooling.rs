@@ -60,6 +60,21 @@ fn montecarlo_example_estimates_pi() {
 }
 
 #[test]
+fn montecarlo_example_simulates_reproducibly() {
+    // The simulator draws random() from a fixed-seed generator in scheduler
+    // order, so two simulations agree on the estimate and every count.
+    let p = Tetra::compile(&example_source("montecarlo_pi.tet")).unwrap();
+    let simulate = || {
+        let console = BufferConsole::new();
+        let s = p.simulate(console.clone()).unwrap();
+        (console.output(), s.virtual_elapsed, s.instructions, s.lock_contentions, s.threads)
+    };
+    let first = simulate();
+    assert!(first.0.starts_with("pi is roughly "), "{}", first.0);
+    assert_eq!(first, simulate());
+}
+
+#[test]
 fn deadlock_example_fails_with_deadlock() {
     let p = Tetra::compile(&example_source("deadlock.tet")).unwrap();
     let err = p.run_captured(&[]).unwrap_err();

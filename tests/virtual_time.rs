@@ -2,10 +2,13 @@
 //!
 //! Virtual time is the instrument the paper's speedup tables are
 //! reproduced with, so a refactor of the scheduler must leave every
-//! `virtual_elapsed` bit-identical. The golden table below pins it for a
+//! `virtual_elapsed` bit-identical. The first golden table pins it for a
 //! corpus that exercises every cost class (basic, shared access,
-//! allocation, builtin, sleep), GIL mode, the single-runnable quantum
-//! fast path and instruction-by-instruction multi-runnable stepping.
+//! allocation, builtin, sleep), GIL mode, a thread running alone and
+//! several runnable threads. The second pins output, instruction count
+//! and lock contentions too, for the cases deferred charging must get
+//! right: a `background:` child reading its running parent's frame (the
+//! run-ahead gate), many workers in lockstep, and contended locks.
 
 use tetra::experiments::simulated_speedup;
 use tetra::vm::CostModel;
@@ -83,6 +86,100 @@ fn virtual_elapsed_matches_golden_values() {
         })
         .collect();
     assert!(mismatches.is_empty(), "virtual time drifted:\n{}", mismatches.join("\n"));
+}
+
+/// A `background:` child sums a variable its still-running parent keeps
+/// overwriting. The child reads the parent's frame, so the printed sum
+/// depends on exactly how far the parent has run at each of its reads.
+const BACKGROUND_READER: &str = "\
+def main():
+    x = 0
+    s = 0
+    j = 0
+    background:
+        while j < 300:
+            s += x
+            j += 1
+    i = 0
+    while i < 2000:
+        x = i
+        i += 1
+    print(\"last \", x, \", sum \", s)
+";
+
+/// Workers in lockstep, each doing a little private arithmetic between
+/// acquisitions of one contended lock: the printed `order` and the
+/// contention count depend on the exact lock order.
+const LOCKSTEP_LOCKS: &str = "\
+def main():
+    total = 0
+    order = 0
+    parallel for i in [1 ... 32]:
+        k = 0
+        acc = 0
+        while k < 8:
+            acc += i * k % 7
+            lock total:
+                total += acc
+                order = order * 3 % 1000003 + i
+            k += 1
+    print(total, \" \", order)
+";
+
+/// Run `src` on the simulator; returns `(virtual_elapsed, instructions,
+/// lock_contentions, stdout)`.
+fn simulate(src: &str, workers: usize, cost: CostModel) -> (u64, u64, u64, String) {
+    let program = Tetra::compile(src).unwrap_or_else(|e| panic!("compile:\n{}", e.render()));
+    let cfg = VmConfig { workers, cost, ..VmConfig::default() };
+    let console = BufferConsole::new();
+    let stats = program.simulate_with(cfg, console.clone()).expect("simulate");
+    (stats.virtual_elapsed, stats.instructions, stats.lock_contentions, console.output())
+}
+
+/// Output, instruction count and lock contentions, not just virtual time:
+/// a scheduler that reorders a read of a shared frame can keep every
+/// clock and still print something else.
+#[test]
+fn simulated_output_and_counts_match_golden_values() {
+    let primes = programs::primes(2_000, 16);
+    let base = CostModel::default;
+    let gil = || CostModel { gil: true, ..CostModel::default() };
+    type Golden = (u64, u64, u64, &'static str);
+    let cases: [(&str, &str, usize, CostModel, Golden); 6] = [
+        (
+            "background reader, w4",
+            BACKGROUND_READER,
+            4,
+            base(),
+            (112323, 25927, 0, "last 1999, sum 52815\n"),
+        ),
+        (
+            "background reader, gil",
+            BACKGROUND_READER,
+            4,
+            gil(),
+            (131856, 25927, 0, "last 1999, sum 52815\n"),
+        ),
+        (
+            "primes(2000, 16), w8",
+            &primes,
+            8,
+            base(),
+            (169582, 162649, 0, "primes below 2000: 303\n"),
+        ),
+        ("lockstep locks, w4", LOCKSTEP_LOCKS, 4, base(), (20745, 8704, 433, "2625 237153\n")),
+        ("lockstep locks, w8", LOCKSTEP_LOCKS, 8, base(), (20602, 9497, 1226, "2625 236984\n")),
+        ("lockstep locks, gil", LOCKSTEP_LOCKS, 4, gil(), (45069, 8725, 454, "2625 569843\n")),
+    ];
+    let mismatches: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, src, workers, cost, (time, instrs, contentions, out))| {
+            let got = simulate(src, workers, cost);
+            let want = (time, instrs, contentions, out.to_string());
+            (got != want).then(|| format!("{name}: got {got:?}, golden {want:?}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "simulation drifted:\n{}", mismatches.join("\n"));
 }
 
 /// The E10 gate: on the skewed loop, static chunking serializes on the
