@@ -42,29 +42,51 @@ mod tests {
 
     #[test]
     fn breakpoint_pauses_and_inspects_locals() {
+        // Neither function spawns, so both run in private frames on the
+        // thread's slot stack; `grow`'s sits on top of `main`'s.
         let src = "\
+def grow(n int) int:
+    step = n * 2
+    total = n + step
+    return total
+
 def main():
     x = 1
     y = x + 10
-    print(y)
+    print(grow(y))
 ";
         let dbg = Debugger::new(false);
+        dbg.set_breakpoint(8);
         dbg.set_breakpoint(3);
         let (interp, console) = make_interp(src, &dbg);
         let handle = std::thread::spawn(move || interp.run());
         assert!(
-            dbg.wait_until(TIMEOUT, |paused| paused.iter().any(|p| p.line == 3)),
-            "breakpoint never hit"
+            dbg.wait_until(TIMEOUT, |paused| paused.iter().any(|p| p.line == 8)),
+            "breakpoint in main never hit"
         );
         let paused = dbg.paused();
-        let p = paused.iter().find(|p| p.line == 3).unwrap();
-        // Stopped *before* line 3 runs: x is set, y is not.
+        let p = paused.iter().find(|p| p.line == 8).unwrap();
+        // Stopped *before* line 8 runs: x is set, y is not.
         assert!(p.locals.iter().any(|(n, v)| n == "x" && v == "1"), "{:?}", p.locals);
         assert!(!p.locals.iter().any(|(n, _)| n == "y"), "{:?}", p.locals);
         assert_eq!(console.output(), "", "output before the breakpoint line");
         dbg.resume(p.thread);
+
+        assert!(
+            dbg.wait_until(TIMEOUT, |paused| paused.iter().any(|p| p.line == 3)),
+            "breakpoint in the helper never hit"
+        );
+        let paused = dbg.paused();
+        let p = paused.iter().find(|p| p.line == 3).unwrap();
+        // Only the helper's own frame is visible: its parameter and the
+        // local assigned so far, not `total` yet and nothing of `main`'s.
+        let names: Vec<&str> = p.locals.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["n", "step"], "{:?}", p.locals);
+        assert!(p.locals.iter().any(|(n, v)| n == "n" && v == "11"), "{:?}", p.locals);
+        assert!(p.locals.iter().any(|(n, v)| n == "step" && v == "22"), "{:?}", p.locals);
+        dbg.resume(p.thread);
         handle.join().unwrap().unwrap();
-        assert_eq!(console.output(), "11\n");
+        assert_eq!(console.output(), "33\n");
     }
 
     #[test]
@@ -268,6 +290,34 @@ def main():
         let _ = interp.run();
         let races = dbg.races();
         assert!(races.iter().any(|r| r.name == "count"), "expected a race on `count`: {races:?}");
+    }
+
+    #[test]
+    fn race_detector_never_flags_private_frame_locals() {
+        // `scratch`'s parameter and local live in each worker's own slot
+        // stack at the same indices; only the unlocked counter is shared.
+        let src = "\
+def scratch(i int) int:
+    t = i * 2
+    t += 1
+    return t
+
+def main():
+    count = 0
+    parallel for i in [1 ... 50]:
+        v = scratch(i)
+        count += 1
+    print(count)
+";
+        let dbg = Debugger::tracer();
+        let (interp, _console) = make_interp(src, &dbg);
+        let _ = interp.run();
+        let races = dbg.races();
+        assert!(races.iter().any(|r| r.name == "count"), "expected a race on `count`: {races:?}");
+        assert!(
+            !races.iter().any(|r| r.name == "t" || r.name == "i" || r.name == "v"),
+            "private locals flagged: {races:?}"
+        );
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! through [`tetra_stdlib::ops`].
 
 use crate::hooks::Loc;
-use crate::thread::{RootsView, ThreadCtx, MAX_CALL_DEPTH};
-use tetra_ast::{BinOp, Expr, ExprKind, FuncDef, UnOp};
+use crate::thread::{Activation, ThreadCtx, MAX_CALL_DEPTH};
+use crate::Shared;
+use std::sync::Arc;
+use tetra_ast::{BinOp, Expr, ExprKind, UnOp};
 use tetra_intern::Symbol;
 use tetra_runtime::{DictKey, Env, ErrorKind, Object, RuntimeError, Value};
 use tetra_stdlib::ops;
@@ -18,7 +20,7 @@ use tetra_types::Callee;
 /// Run `f` with an operator context borrowed from this thread's state.
 macro_rules! with_ops {
     ($self:expr, $f:expr) => {{
-        let view = RootsView { temps: &$self.temps, envs: &$self.env_stack };
+        let view = $self.roots_view();
         let ctx = ops::OpCtx {
             heap: &$self.shared.heap,
             mutator: &$self.mutator,
@@ -42,12 +44,10 @@ impl ThreadCtx {
                 // (frame, slot) coordinate — no hashing, no chain walk.
                 if let Some((up, slot)) = self.shared.typed.resolution.coord(e.id) {
                     self.env_slot_hits += 1;
-                    let env = self.current_env();
-                    return match env.read_slot(up, slot) {
+                    return match self.read_slot(up, slot) {
                         Some(v) => {
                             if self.shared.hook.is_some() {
-                                let frame = self.current_env().frame_addr(up);
-                                self.emit_read(Loc::Frame(frame, slot as u32), *name);
+                                self.emit_read(self.slot_loc(up, slot), *name);
                             }
                             Ok(v)
                         }
@@ -58,11 +58,11 @@ impl ThreadCtx {
                     };
                 }
                 self.env_dynamic_fallbacks += 1;
-                let (found, walked) = self.current_env().get_located_walked(*name);
+                let (found, walked) = self.read_var(*name);
                 self.env_chain_depth_walked += walked;
                 match found {
-                    Some((v, frame, slot)) => {
-                        self.emit_read(Loc::Frame(frame, slot as u32), *name);
+                    Some((v, loc)) => {
+                        self.emit_read(loc, *name);
                         Ok(v)
                     }
                     None => Err(self.err(
@@ -193,9 +193,13 @@ impl ThreadCtx {
 
     pub fn index_read(&mut self, base: Value, index: Value) -> Result<Value, RuntimeError> {
         let v = with_ops!(self, |ctx| ops::index_read(ctx, base, index))?;
-        if let Value::Obj(obj) = base {
-            if matches!(obj.object(), Object::Array(_) | Object::Dict(_)) {
-                self.emit_read(Loc::Obj(obj.addr()), Symbol::intern("[element]"));
+        // Checked first: interning the display name takes the interner's
+        // shared lock.
+        if self.shared.hook.is_some() {
+            if let Value::Obj(obj) = base {
+                if matches!(obj.object(), Object::Array(_) | Object::Dict(_)) {
+                    self.emit_read(Loc::Obj(obj.addr()), Symbol::intern("[element]"));
+                }
             }
         }
         Ok(v)
@@ -208,8 +212,10 @@ impl ThreadCtx {
         new: Value,
     ) -> Result<(), RuntimeError> {
         with_ops!(self, |ctx| ops::index_write(ctx, base, index, new))?;
-        if let Value::Obj(obj) = base {
-            self.emit_write(Loc::Obj(obj.addr()), Symbol::intern("[element]"));
+        if self.shared.hook.is_some() {
+            if let Value::Obj(obj) = base {
+                self.emit_write(Loc::Obj(obj.addr()), Symbol::intern("[element]"));
+            }
         }
         Ok(())
     }
@@ -225,16 +231,25 @@ impl ThreadCtx {
             let v = self.eval(arg)?;
             self.push_temp(v);
         }
-        let arg_values: Vec<Value> = self.temps[mark..].to_vec();
-        let result = match self.shared.typed.callees.get(&e.id).copied() {
-            Some(Callee::User(idx)) => self.call_user(idx, &arg_values),
-            Some(Callee::Builtin(b)) => self.call_builtin(b, &arg_values),
+        let result = match self.shared.typed.callee(e.id) {
+            Some(Callee::User(idx)) => self.call_user(idx, mark),
+            Some(Callee::Builtin(b)) => self.call_builtin(b, &self.temps[mark..]),
             // Reachable only when running unchecked ASTs (tests); resolve
             // dynamically with the same shadowing rule.
             None => match self.shared.typed.program.func_index(callee.as_str()) {
-                Some(idx) => self.call_user(idx, &arg_values),
+                Some(idx) => {
+                    let params = self.shared.typed.program.funcs[idx].params.len();
+                    if params == args.len() {
+                        self.call_user(idx, mark)
+                    } else {
+                        Err(self.err(
+                            ErrorKind::Value,
+                            format!("`{callee}` expects {params} argument(s), got {}", args.len()),
+                        ))
+                    }
+                }
                 None => match Builtin::lookup(callee.as_str()) {
-                    Some(b) => self.call_builtin(b, &arg_values),
+                    Some(b) => self.call_builtin(b, &self.temps[mark..]),
                     None => Err(self
                         .err(ErrorKind::UndefinedFunction, format!("unknown function `{callee}`"))),
                 },
@@ -244,34 +259,50 @@ impl ThreadCtx {
         result
     }
 
-    pub fn call_user(&mut self, idx: usize, args: &[Value]) -> Result<Value, RuntimeError> {
+    /// Call user function `idx` with the arguments `temps[mark..]`, which
+    /// the caller keeps rooted and truncates after the call.
+    pub fn call_user(&mut self, idx: usize, mark: usize) -> Result<Value, RuntimeError> {
         if self.call_depth >= MAX_CALL_DEPTH {
             return Err(self.err(
                 ErrorKind::Value,
                 format!("call depth exceeded {MAX_CALL_DEPTH} (infinite recursion?)"),
             ));
         }
-        let shared = self.shared.clone();
-        let func: &FuncDef = &shared.typed.program.funcs[idx];
+        // SAFETY: `self.shared` is assigned once, when the context is
+        // built, and never reassigned (see `ThreadCtx::shared`), so the
+        // `Arc` it holds keeps this `Shared` alive for as long as `self`
+        // lives, which outlives this call. `Shared` is only ever borrowed
+        // immutably. The re-borrow saves a shared refcount bump per call.
+        let shared: &Shared = unsafe { &*Arc::as_ptr(&self.shared) };
+        let func = &shared.typed.program.funcs[idx];
+        let args = &self.temps[mark..];
         debug_assert_eq!(func.params.len(), args.len());
         let layout = shared.typed.resolution.func_layout(idx);
-        let env = if layout.len() >= func.params.len() {
+        let locals_mark = self.locals.len();
+        let activation = if shared.typed.resolution.frame_is_private(idx) {
+            // No other thread can see this frame: its slots go on this
+            // thread's slot stack, parameters first.
+            self.locals
+                .extend(func.params.iter().zip(args).map(|(p, v)| Some(ops::widen_to(&p.ty, *v))));
+            self.locals.resize(locals_mark + layout.len(), None);
+            Activation::Private { base: locals_mark, func: idx }
+        } else if layout.len() >= func.params.len() {
             // Resolved layout: parameters occupy the leading slots.
-            let env = Env::new_with_layout(layout);
+            let env = Env::new_with_layout(layout.clone());
             let frame = env.innermost();
             for (i, (p, v)) in func.params.iter().zip(args).enumerate() {
                 frame.set_slot(i, ops::widen_to(&p.ty, *v));
             }
-            env
+            Activation::Shared(env)
         } else {
             // All-dynamic resolution (oracle/REPL): bind by name.
             let env = Env::new();
             for (p, v) in func.params.iter().zip(args) {
                 env.define(p.name, ops::widen_to(&p.ty, *v));
             }
-            env
+            Activation::Shared(env)
         };
-        self.env_stack.push(env);
+        self.env_stack.push(activation);
         self.call_depth += 1;
         let saved_line = self.line;
         // Shadow-stack frame for attribution (flame output, allocation
@@ -291,6 +322,7 @@ impl ThreadCtx {
         }
         self.call_depth -= 1;
         self.env_stack.pop();
+        self.locals.truncate(locals_mark);
         self.line = saved_line;
         self.cell.set_line(saved_line);
         match result? {
@@ -299,8 +331,8 @@ impl ThreadCtx {
         }
     }
 
-    fn call_builtin(&mut self, b: Builtin, args: &[Value]) -> Result<Value, RuntimeError> {
-        let view = RootsView { temps: &self.temps, envs: &self.env_stack };
+    fn call_builtin(&self, b: Builtin, args: &[Value]) -> Result<Value, RuntimeError> {
+        let view = self.roots_view();
         let ctx = tetra_stdlib::HostCtx {
             heap: &self.shared.heap,
             mutator: &self.mutator,

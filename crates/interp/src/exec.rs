@@ -15,7 +15,7 @@
 //! *before* anything runs it (so a collection can never miss it), and
 //! blocks inside GC safe regions.
 
-use crate::hooks::{ExecEvent, Loc};
+use crate::hooks::ExecEvent;
 use crate::thread::{ChildSeed, ThreadCtx, THREAD_STACK_SIZE};
 use crate::Shared;
 
@@ -121,12 +121,8 @@ impl ThreadCtx {
                 let mut flow = Flow::Normal;
                 for item in items {
                     match coord {
-                        Some((up, slot)) => {
-                            self.current_env().write_slot(up, slot, item);
-                        }
-                        None => {
-                            self.current_env().define(*var, item);
-                        }
+                        Some((up, slot)) => self.write_slot(up, slot, item),
+                        None => self.define_var(*var, item)?,
                     }
                     match self.exec_block(body)? {
                         Flow::Break => break,
@@ -164,11 +160,9 @@ impl ThreadCtx {
                         // spawned threads arrive here through their join.
                         let msg = self.alloc_string(e.message.clone());
                         match self.shared.typed.resolution.coord(*err_id) {
-                            Some((up, slot)) => {
-                                self.current_env().write_slot(up, slot, msg);
-                            }
+                            Some((up, slot)) => self.write_slot(up, slot, msg),
                             None => {
-                                self.current_env().set(*err_name, msg);
+                                self.write_var(*err_name, msg)?;
                             }
                         }
                         self.exec_block(handler)
@@ -224,12 +218,12 @@ impl ThreadCtx {
                 self.env_dynamic_fallbacks += 1;
                 // Dynamic fallback: resolve the name once; the compound read
                 // and the write go through the same located frame.
-                let (found, walked) = self.current_env().get_located_walked(*name);
+                let (found, walked) = self.read_var(*name);
                 self.env_chain_depth_walked += walked;
                 let new = match op.binop() {
                     None => self.eval(value)?,
                     Some(binop) => {
-                        let (current, _, _) = found.ok_or_else(|| {
+                        let (current, _) = found.ok_or_else(|| {
                             self.err(
                                 ErrorKind::UndefinedVariable,
                                 format!("variable `{name}` was read before any assignment"),
@@ -245,9 +239,9 @@ impl ThreadCtx {
                     }
                 };
                 // Keep runtime reals real when the checker said so.
-                let new = tetra_stdlib::ops::widen_like(found.map(|(v, _, _)| v), new);
-                let (frame, slot) = self.current_env().set_located(*name, new);
-                self.emit_write(Loc::Frame(frame, slot as u32), *name);
+                let new = tetra_stdlib::ops::widen_like(found.map(|(v, _)| v), new);
+                let loc = self.write_var(*name, new)?;
+                self.emit_write(loc, *name);
                 Ok(())
             }
             Target::Index { base, index, .. } => {
@@ -287,7 +281,7 @@ impl ThreadCtx {
         value: &Expr,
     ) -> Result<(), RuntimeError> {
         self.env_slot_hits += 1;
-        let current = self.current_env().read_slot(up, slot);
+        let current = self.read_slot(up, slot);
         let new = match op.binop() {
             None => self.eval(value)?,
             Some(binop) => {
@@ -308,9 +302,9 @@ impl ThreadCtx {
         };
         // Keep runtime reals real when the checker said so.
         let new = tetra_stdlib::ops::widen_like(current, new);
-        let frame = self.current_env().write_slot(up, slot, new);
+        self.write_slot(up, slot, new);
         if self.shared.hook.is_some() {
-            self.emit_write(Loc::Frame(frame, slot as u32), name);
+            self.emit_write(self.slot_loc(up, slot), name);
         }
         Ok(())
     }
@@ -347,7 +341,7 @@ impl ThreadCtx {
             return Ok(());
         }
         let n = body.stmts.len();
-        let frames = self.current_env().frames().to_vec();
+        let frames = self.spawn_frames();
         let spawn_node = self.current_stack_node();
         let arms = Arc::new(body.clone());
         let results: Arc<Mutex<Vec<Option<RuntimeError>>>> =
@@ -379,7 +373,7 @@ impl ThreadCtx {
     /// `background:` — one dedicated OS thread per child statement, never
     /// joined here (the run joins stragglers when `main` returns).
     fn exec_background(&mut self, body: &Block) -> Result<(), RuntimeError> {
-        let frames = self.current_env().frames().to_vec();
+        let frames = self.spawn_frames();
         // Children attribute to the call path that spawned them until they
         // call a function of their own.
         let spawn_node = self.current_stack_node();
@@ -424,7 +418,7 @@ impl ThreadCtx {
             return Ok(());
         }
         let workers = self.shared.config.worker_threads.clamp(1, len);
-        let frames = self.current_env().frames().to_vec();
+        let frames = self.spawn_frames();
         let spawn_node = self.current_stack_node();
         // The resolver's worker-frame layout puts the induction variable at
         // slot 0; an empty layout means all-dynamic resolution.
@@ -636,9 +630,9 @@ impl PforJob {
             }
             let item = self.items[i];
             if self.use_slots {
-                ctx.current_env().write_slot(0, 0, item);
+                ctx.write_slot(0, 0, item);
             } else {
-                ctx.current_env().define(self.var, item);
+                ctx.shared_env().expect("a worker runs in its shared frame").define(self.var, item);
             }
             if let Err(e) = ctx.exec_block(&self.body) {
                 let mut err = self.error.lock();

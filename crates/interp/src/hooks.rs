@@ -23,13 +23,17 @@ pub enum HookDecision {
 
 /// Identity of a memory location for the race detector: a variable slot in
 /// a specific frame, or a whole heap object (array/dict element accesses).
-/// Frame slots are keyed by `(frame address, slot index)` — two integers —
-/// so race bookkeeping never hashes strings; the source-level name travels
-/// separately in the event for display.
+/// Slots are keyed by two integers, so race bookkeeping never hashes
+/// strings; the source-level name travels separately in the event for
+/// display.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loc {
-    /// (frame address, slot index within the frame).
+    /// (frame address, slot index within the frame): a heap frame that
+    /// other threads may share.
     Frame(usize, u32),
+    /// (thread id, index in that thread's slot stack): a slot of a private
+    /// frame, which only its own thread can touch.
+    Local(u32, u32),
     /// Heap object address.
     Obj(usize),
 }

@@ -96,7 +96,7 @@ pub struct RunStats {
 
 /// Program-wide state shared by every interpreter thread.
 pub struct Shared {
-    pub typed: TypedProgram,
+    pub typed: Arc<TypedProgram>,
     pub config: InterpConfig,
     pub heap: Arc<Heap>,
     pub locks: Arc<LockRegistry>,
@@ -124,22 +124,26 @@ pub struct Interp {
 }
 
 impl Interp {
-    pub fn new(typed: TypedProgram, config: InterpConfig, console: ConsoleRef) -> Interp {
-        Self::build(typed, config, console, None)
+    pub fn new(
+        typed: impl Into<Arc<TypedProgram>>,
+        config: InterpConfig,
+        console: ConsoleRef,
+    ) -> Interp {
+        Self::build(typed.into(), config, console, None)
     }
 
     /// Install a debug hook (per-thread stepping, tracing, race detection).
     pub fn with_hook(
-        typed: TypedProgram,
+        typed: impl Into<Arc<TypedProgram>>,
         config: InterpConfig,
         console: ConsoleRef,
         hook: Arc<dyn DebugHook>,
     ) -> Interp {
-        Self::build(typed, config, console, Some(hook))
+        Self::build(typed.into(), config, console, Some(hook))
     }
 
     fn build(
-        typed: TypedProgram,
+        typed: Arc<TypedProgram>,
         config: InterpConfig,
         console: ConsoleRef,
         hook: Option<Arc<dyn DebugHook>>,
@@ -202,7 +206,8 @@ impl Interp {
             .func_index("main")
             .ok_or_else(|| RuntimeError::new(ErrorKind::UndefinedFunction, "no main()", 0))?;
         let mut ctx = ThreadCtx::new_main(self.shared.clone());
-        let result = ctx.call_user(main_idx, &[]).map(|_| ());
+        let no_args = ctx.temp_mark();
+        let result = ctx.call_user(main_idx, no_args).map(|_| ());
         ctx.finish_thread();
         // Main is done; deal with stragglers from `background:` blocks.
         let background: Vec<_> = std::mem::take(&mut *self.shared.background.lock());
@@ -392,6 +397,28 @@ def main():
         let e = run_err("def main():\n    assert 1 > 2, \"math broke\"\n");
         assert_eq!(e.kind, ErrorKind::AssertionFailed);
         assert!(e.message.contains("math broke"));
+    }
+
+    #[test]
+    fn arity_mismatch_on_an_unchecked_ast_is_a_runtime_error() {
+        // No callee table: calls resolve by name at run time, without the
+        // checker's arity rule.
+        for (args, got) in [("1, 2", 2), ("", 0)] {
+            let src =
+                format!("def f(a int) int:\n    return a\n\ndef main():\n    print(f({args}))\n");
+            let program = tetra_parser::parse(&src).unwrap();
+            let typed = TypedProgram {
+                resolution: tetra_types::resolve::resolve(&program),
+                program,
+                expr_types: Default::default(),
+                callees: Default::default(),
+                var_types: Default::default(),
+            };
+            let interp = Interp::new(typed, InterpConfig::default(), BufferConsole::new());
+            let e = interp.run().unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Value);
+            assert!(e.message.contains(&format!("expects 1 argument(s), got {got}")), "{e}");
+        }
     }
 
     #[test]

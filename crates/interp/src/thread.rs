@@ -2,9 +2,19 @@
 //!
 //! Each Tetra thread — the main thread plus every thread spawned by
 //! `parallel`, `background` and `parallel for` — owns one [`ThreadCtx`]:
-//! its call stack of environments, a temporary root stack for values held
+//! its call stack of activations, a temporary root stack for values held
 //! across GC points, its held-lock list, and its registration with the GC
 //! and the thread registry.
+//!
+//! An activation is *private* or *shared*. A function that spawns nothing
+//! ([`tetra_types::Resolution::frame_is_private`]) has a frame no other
+//! thread can ever see: its slots live in the thread's contiguous `locals`
+//! stack, pushed on call and truncated on return, and are read and written
+//! by plain indexing. Every other frame — of a function that spawns, of a
+//! spawned child or `parallel for` worker, or under all-dynamic resolution
+//! — is a shared, locked heap [`Env`]. Variable access goes through the
+//! `read_slot` / `write_slot` / `read_var` / `write_var` methods, which
+//! dispatch on the current activation.
 
 use crate::hooks::{ExecEvent, HookDecision, HookPoint, Inspect, Loc};
 use crate::Shared;
@@ -12,8 +22,8 @@ use std::sync::Arc;
 use tetra_ast::Stmt;
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    Env, ErrorKind, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError, ThreadCell,
-    ThreadKind, ThreadState, Value,
+    Env, ErrorKind, FrameRef, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
+    SlotLayout, ThreadCell, ThreadKind, ThreadState, Value,
 };
 
 /// Stack size for spawned Tetra threads: recursive tree-walking plus user
@@ -24,12 +34,26 @@ pub(crate) const THREAD_STACK_SIZE: usize = 32 * 1024 * 1024;
 /// exhausting the native stack.
 pub(crate) const MAX_CALL_DEPTH: u32 = 1000;
 
+/// One activation on a thread's call stack.
+pub(crate) enum Activation {
+    /// A frame only this thread can see: its slots are
+    /// `locals[base..base + layout.len()]`, shaped by function `func`'s
+    /// layout.
+    Private { base: usize, func: usize },
+    /// A heap frame chain that other threads may share.
+    Shared(Env),
+}
+
 pub(crate) struct ThreadCtx {
+    /// Never reassigned after construction: `call_user` re-borrows the
+    /// `Shared` it points to across `&mut self` calls.
     pub shared: Arc<Shared>,
     pub mutator: MutatorGuard,
     pub cell: Arc<ThreadCell>,
-    /// Call stack of environments; last is the current function's.
-    pub env_stack: Vec<Env>,
+    /// Call stack of activations; last is the current function's.
+    pub env_stack: Vec<Activation>,
+    /// Slots of every private activation on `env_stack`, innermost last.
+    pub locals: Vec<Option<Value>>,
     /// Temporary GC roots: intermediate values alive across GC points.
     pub temps: Vec<Value>,
     /// Lock names this thread currently holds, innermost last.
@@ -55,20 +79,24 @@ pub(crate) struct ThreadCtx {
 }
 
 /// Borrowed root view over a `ThreadCtx`'s state (avoids aliasing issues
-/// between `&mut self` and the GC's `&dyn RootSource`).
+/// between `&mut self` and the GC's `&dyn RootSource`): the temporaries,
+/// every private slot and every shared frame.
 pub(crate) struct RootsView<'a> {
     pub temps: &'a [Value],
-    pub envs: &'a [Env],
+    pub locals: &'a [Option<Value>],
+    pub envs: &'a [Activation],
 }
 
 impl RootSource for RootsView<'_> {
     fn roots(&self, sink: &mut RootSink) {
-        for v in self.temps {
+        for v in self.temps.iter().chain(self.locals.iter().flatten()) {
             sink.value(*v);
         }
-        for env in self.envs {
-            for f in env.frames() {
-                sink.frame(f);
+        for act in self.envs {
+            if let Activation::Shared(env) = act {
+                for f in env.frames() {
+                    sink.frame(f);
+                }
             }
         }
     }
@@ -79,7 +107,8 @@ impl RootSource for RootsView<'_> {
 pub(crate) struct ChildSeed {
     pub mutator: MutatorGuard,
     pub cell: Arc<ThreadCell>,
-    pub env: Env,
+    /// The child's only activation: the shared frames it runs in.
+    pub activation: Activation,
 }
 
 impl ThreadCtx {
@@ -91,7 +120,8 @@ impl ThreadCtx {
             shared,
             mutator,
             cell,
-            env_stack: vec![Env::new()],
+            env_stack: vec![Activation::Shared(Env::new())],
+            locals: Vec::new(),
             temps: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
@@ -111,24 +141,26 @@ impl ThreadCtx {
     /// its registry cell and announce it. [`ThreadCtx::new_child`] starts it
     /// on whichever thread ends up running it.
     pub fn register_child(&self, env: Env, kind: ThreadKind, line: u32) -> ChildSeed {
-        let roots = RootsView { temps: &[], envs: std::slice::from_ref(&env) };
+        let activation = Activation::Shared(env);
+        let roots = RootsView { temps: &[], locals: &[], envs: std::slice::from_ref(&activation) };
         let mutator = self.shared.heap.register_spawned(&roots);
         let cell = self.shared.threads.spawn(Some(self.cell.id), kind);
         self.emit(ExecEvent::ThreadStart { id: cell.id, kind, parent: Some(self.cell.id), line });
-        ChildSeed { mutator, cell, env }
+        ChildSeed { mutator, cell, activation }
     }
 
     /// Context for a registered child; exits the initial spawn
     /// safe-region. `spawn_node` is the parent's call-path node at the
     /// spawn point, inherited as this thread's attribution root.
     pub fn new_child(shared: Arc<Shared>, seed: ChildSeed, spawn_node: u32) -> ThreadCtx {
-        let ChildSeed { mutator, cell, env } = seed;
+        let ChildSeed { mutator, cell, activation } = seed;
         shared.heap.exit_spawn_region(&mutator);
         ThreadCtx {
             shared,
             mutator,
             cell,
-            env_stack: vec![env],
+            env_stack: vec![activation],
+            locals: Vec::new(),
             temps: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
@@ -149,12 +181,126 @@ impl ThreadCtx {
         self.shadow.last().copied().unwrap_or(self.shadow_root)
     }
 
-    pub fn current_env(&self) -> &Env {
+    #[inline]
+    fn activation(&self) -> &Activation {
         self.env_stack.last().expect("env stack never empty")
     }
 
-    fn roots_view(&self) -> RootsView<'_> {
-        RootsView { temps: &self.temps, envs: &self.env_stack }
+    /// The current activation's shared frame chain; `None` in a private
+    /// frame.
+    pub fn shared_env(&self) -> Option<&Env> {
+        match self.activation() {
+            Activation::Shared(env) => Some(env),
+            Activation::Private { .. } => None,
+        }
+    }
+
+    /// The frames a child spawned here shares. Only a function whose frame
+    /// is not private contains a spawn statement, so the current activation
+    /// is a shared one by construction.
+    pub fn spawn_frames(&self) -> Vec<FrameRef> {
+        self.shared_env()
+            .expect("a function that spawns has a shared frame (Resolution::frame_is_private)")
+            .frames()
+            .to_vec()
+    }
+
+    pub(crate) fn roots_view(&self) -> RootsView<'_> {
+        RootsView { temps: &self.temps, locals: &self.locals, envs: &self.env_stack }
+    }
+
+    // ---- variable access ----------------------------------------------------
+
+    /// Read the statically resolved slot `(up, slot)` of the current
+    /// activation; `None` while it is unbound.
+    #[inline]
+    pub fn read_slot(&self, up: usize, slot: usize) -> Option<Value> {
+        match self.activation() {
+            Activation::Private { base, .. } => self.locals[base + slot],
+            Activation::Shared(env) => env.read_slot(up, slot),
+        }
+    }
+
+    /// Write the statically resolved slot `(up, slot)` of the current
+    /// activation.
+    #[inline]
+    pub fn write_slot(&mut self, up: usize, slot: usize, value: Value) {
+        match self.env_stack.last().expect("env stack never empty") {
+            Activation::Private { base, .. } => self.locals[base + slot] = Some(value),
+            Activation::Shared(env) => env.write_slot(up, slot, value),
+        }
+    }
+
+    /// Race-detector key of slot `(up, slot)` of the current activation.
+    pub fn slot_loc(&self, up: usize, slot: usize) -> Loc {
+        match self.activation() {
+            Activation::Private { base, .. } => self.local_loc(base + slot),
+            Activation::Shared(env) => Loc::Frame(env.frame_addr(up), slot as u32),
+        }
+    }
+
+    /// Race-detector key of `locals[index]`.
+    fn local_loc(&self, index: usize) -> Loc {
+        Loc::Local(self.cell.id, index as u32)
+    }
+
+    /// The layout of a private activation's function.
+    fn private_layout(&self, func: usize) -> &SlotLayout {
+        self.shared.typed.resolution.func_layout(func)
+    }
+
+    /// Name-based read (the dynamic fallback): the value and its location,
+    /// plus how many frames the walk visited.
+    pub fn read_var(&self, name: Symbol) -> (Option<(Value, Loc)>, u64) {
+        match self.activation() {
+            Activation::Private { base, func } => {
+                let found = self.private_layout(*func).slot_of(name).and_then(|slot| {
+                    let v = self.locals[base + slot]?;
+                    Some((v, self.local_loc(base + slot)))
+                });
+                (found, 1)
+            }
+            Activation::Shared(env) => {
+                let (found, walked) = env.get_located_walked(name);
+                (found.map(|(v, frame, slot)| (v, Loc::Frame(frame, slot as u32))), walked)
+            }
+        }
+    }
+
+    /// Name-based define in the innermost frame (a `for` induction variable
+    /// the resolver left dynamic).
+    pub fn define_var(&mut self, name: Symbol, value: Value) -> Result<(), RuntimeError> {
+        match self.activation() {
+            Activation::Private { .. } => self.write_var(name, value).map(drop),
+            Activation::Shared(env) => {
+                env.define(name, value);
+                Ok(())
+            }
+        }
+    }
+
+    /// Name-based assignment (the dynamic fallback): update the innermost
+    /// frame that binds `name`, else define it in the innermost frame.
+    /// Returns the location written.
+    pub fn write_var(&mut self, name: Symbol, value: Value) -> Result<Loc, RuntimeError> {
+        match self.activation() {
+            &Activation::Private { base, func } => {
+                // The resolver gives every name a private function assigns a
+                // slot; only a hand-built AST can miss one.
+                let Some(slot) = self.private_layout(func).slot_of(name) else {
+                    return Err(self.err(
+                        ErrorKind::UndefinedVariable,
+                        format!("variable `{name}` has no slot in this function's frame"),
+                    ));
+                };
+                self.locals[base + slot] = Some(value);
+                Ok(self.local_loc(base + slot))
+            }
+            Activation::Shared(env) => {
+                let (frame, slot) = env.set_located(name, value);
+                Ok(Loc::Frame(frame, slot as u32))
+            }
+        }
     }
 
     // ---- GC integration ---------------------------------------------------
@@ -307,21 +453,34 @@ impl ThreadCtx {
     }
 }
 
-/// Lazy variable inspection handed to debug hooks.
+/// Lazy variable inspection handed to debug hooks. A private frame is read
+/// through its function's layout names.
 pub(crate) struct InspectView<'a>(pub &'a ThreadCtx);
 
 impl Inspect for InspectView<'_> {
     fn lookup(&self, name: &str) -> Option<Value> {
-        self.0.current_env().get(name)
+        self.0.read_var(Symbol::intern(name)).0.map(|(v, _)| v)
     }
 
     fn locals(&self) -> Vec<(String, String)> {
-        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for frame in self.0.current_env().frames().iter().rev() {
-            for (name, value) in frame.snapshot() {
-                if seen.insert(name.clone()) {
-                    out.push((name, value.display()));
+        match self.0.activation() {
+            Activation::Private { base, func } => {
+                let names = self.0.private_layout(*func).names();
+                for (name, v) in names.iter().zip(&self.0.locals[*base..]) {
+                    if let Some(v) = v {
+                        out.push((name.to_string(), v.display()));
+                    }
+                }
+            }
+            Activation::Shared(env) => {
+                let mut seen = std::collections::HashSet::new();
+                for frame in env.frames().iter().rev() {
+                    for (name, value) in frame.snapshot() {
+                        if seen.insert(name.clone()) {
+                            out.push((name, value.display()));
+                        }
+                    }
                 }
             }
         }
@@ -330,6 +489,9 @@ impl Inspect for InspectView<'_> {
     }
 
     fn scope_depth(&self) -> usize {
-        self.0.current_env().depth()
+        match self.0.activation() {
+            Activation::Private { .. } => 1,
+            Activation::Shared(env) => env.depth(),
+        }
     }
 }

@@ -1,11 +1,19 @@
 //! Environments: the "private and shared symbol tables" of the paper (§IV).
 //!
-//! A [`Frame`] is one symbol table. Frames are reference-counted and
-//! internally synchronized because Tetra's `parallel` constructs hand the
-//! *same* function frame to several threads (Fig. II assigns `a` and `b`
-//! from two threads and reads them after the join), while `parallel for`
-//! workers push a *private* frame holding their copy of the induction
-//! variable on top of the shared chain.
+//! A [`Frame`] is one *shared* symbol table: reference-counted and
+//! internally synchronized (`Arc` + `RwLock`) because more than one thread
+//! can reach it. Tetra's `parallel` constructs hand the *same* function
+//! frame to several threads (Fig. II assigns `a` and `b` from two threads
+//! and reads them after the join), and `parallel for` workers push a frame
+//! holding their copy of the induction variable on top of the shared
+//! chain.
+//!
+//! Most frames are never shared. A function whose body spawns nothing
+//! (`tetra_types::Resolution::frame_is_private`) gets no `Frame` at all:
+//! the interpreter keeps its slots on the calling thread's own slot stack,
+//! read and written by plain indexing. `Frame`s remain only for functions
+//! that spawn, for spawned children and `parallel for` workers, and under
+//! the all-dynamic resolution the differential-test oracle uses.
 //!
 //! Storage is a dense slot vector, not a hash map: the resolver pass
 //! (`tetra-types::resolve`) assigns every statically-known name a slot in a
@@ -45,8 +53,13 @@ impl SlotLayout {
 
     /// The empty layout (dynamic-only frames).
     pub fn empty() -> Arc<SlotLayout> {
+        SlotLayout::empty_ref().clone()
+    }
+
+    /// The process-wide empty layout, borrowed.
+    pub fn empty_ref() -> &'static Arc<SlotLayout> {
         static EMPTY: std::sync::OnceLock<Arc<SlotLayout>> = std::sync::OnceLock::new();
-        EMPTY.get_or_init(|| Arc::new(SlotLayout { names: Vec::new() })).clone()
+        EMPTY.get_or_init(|| Arc::new(SlotLayout { names: Vec::new() }))
     }
 
     /// Slot index of `name`, if the layout declares it. Linear scan: layouts
@@ -288,13 +301,10 @@ impl Env {
         self.frame_up(up).get_slot(slot)
     }
 
-    /// Write `(up, slot)` directly; returns the written frame's identity
-    /// (address) for race keying.
+    /// Write `(up, slot)` directly.
     #[inline]
-    pub fn write_slot(&self, up: usize, slot: usize, value: Value) -> usize {
-        let frame = self.frame_up(up);
-        frame.set_slot(slot, value);
-        Arc::as_ptr(frame) as usize
+    pub fn write_slot(&self, up: usize, slot: usize, value: Value) {
+        self.frame_up(up).set_slot(slot, value);
     }
 
     /// Identity (address) of the frame `up` steps out.

@@ -31,14 +31,53 @@ pub enum Callee {
     Builtin(Builtin),
 }
 
+/// Call-site resolutions as a dense table indexed by [`NodeId`], packed into
+/// one `u32` per node like [`Resolution`]'s coordinates: a user function's
+/// index, a builtin's discriminant with the top bit set, or a sentinel for
+/// nodes that are not resolved calls. The default table resolves nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CalleeTable {
+    packed: Vec<u32>,
+}
+
+const NO_CALLEE: u32 = u32::MAX;
+const BUILTIN_BIT: u32 = 1 << 31;
+
+impl CalleeTable {
+    fn with_nodes(n: u32) -> CalleeTable {
+        CalleeTable { packed: vec![NO_CALLEE; n as usize] }
+    }
+
+    fn insert(&mut self, id: NodeId, callee: Callee) {
+        let code = match callee {
+            Callee::User(idx) => u32::try_from(idx).ok().filter(|i| *i < BUILTIN_BIT),
+            Callee::Builtin(b) => Some(BUILTIN_BIT | b as u32),
+        };
+        if let (Some(slot), Some(code)) = (self.packed.get_mut(id.0 as usize), code) {
+            *slot = code;
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: NodeId) -> Option<Callee> {
+        match self.packed.get(id.0 as usize).copied().unwrap_or(NO_CALLEE) {
+            NO_CALLEE => None,
+            c if c & BUILTIN_BIT != 0 => {
+                Some(Callee::Builtin(Builtin::all()[(c ^ BUILTIN_BIT) as usize]))
+            }
+            c => Some(Callee::User(c as usize)),
+        }
+    }
+}
+
 /// A type-checked program: the AST plus the side tables later stages use.
 #[derive(Debug, Clone)]
 pub struct TypedProgram {
     pub program: Program,
     /// Type of every expression, keyed by its `NodeId`.
     pub expr_types: HashMap<NodeId, Type>,
-    /// Resolution of every call expression, keyed by the call's `NodeId`.
-    pub callees: HashMap<NodeId, Callee>,
+    /// Resolution of every call expression, indexed by the call's `NodeId`.
+    pub callees: CalleeTable,
     /// Inferred type of each local, keyed by (function index, name).
     pub var_types: HashMap<(usize, Symbol), Type>,
     /// Static (frame, slot) coordinates and frame layouts from the
@@ -47,6 +86,12 @@ pub struct TypedProgram {
 }
 
 impl TypedProgram {
+    /// Who call expression `id` resolves to (`None` for unchecked ASTs).
+    #[inline]
+    pub fn callee(&self, id: NodeId) -> Option<Callee> {
+        self.callees.get(id)
+    }
+
     /// The type the checker assigned to an expression.
     pub fn type_of(&self, id: NodeId) -> &Type {
         &self.expr_types[&id]
@@ -90,7 +135,7 @@ struct Checker {
     sigs: HashMap<Symbol, FuncSig>,
     errors: Vec<Diagnostic>,
     expr_types: HashMap<NodeId, Type>,
-    callees: HashMap<NodeId, Callee>,
+    callees: CalleeTable,
     var_types: HashMap<(usize, Symbol), Type>,
     // Per-function state:
     locals: HashMap<Symbol, Type>,
@@ -124,7 +169,7 @@ impl Checker {
             sigs,
             errors: Vec::new(),
             expr_types: HashMap::new(),
-            callees: HashMap::new(),
+            callees: CalleeTable::with_nodes(program.node_count),
             var_types: HashMap::new(),
             locals: HashMap::new(),
             current_func: 0,

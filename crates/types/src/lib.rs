@@ -12,7 +12,7 @@
 mod check;
 pub mod resolve;
 
-pub use check::{check, Callee, TypedProgram};
+pub use check::{check, Callee, CalleeTable, TypedProgram};
 pub use resolve::{Resolution, DYNAMIC};
 
 #[cfg(test)]
@@ -23,6 +23,11 @@ mod tests {
 
     fn check_src(src: &str) -> Result<TypedProgram, Vec<tetra_lexer::Diagnostic>> {
         check(parse(src).expect("parse"))
+    }
+
+    /// Every resolved call site's callee, in node order.
+    fn callees(tp: &TypedProgram) -> impl Iterator<Item = Callee> + '_ {
+        (0..tp.program.node_count).filter_map(|i| tp.callee(tetra_ast::NodeId(i)))
     }
 
     fn first_error(src: &str) -> String {
@@ -187,8 +192,29 @@ def main():
     print(len(5))
 ";
         let tp = check_src(src).unwrap();
-        let call = tp.callees.values().filter(|c| matches!(c, Callee::User(_))).count();
+        let call = callees(&tp).filter(|c| matches!(c, Callee::User(_))).count();
         assert!(call >= 1, "len(5) must resolve to the user function");
+    }
+
+    #[test]
+    fn callee_table_round_trips_every_builtin() {
+        // The packed table decodes a builtin from its discriminant.
+        for (i, b) in tetra_stdlib::Builtin::all().iter().enumerate() {
+            assert_eq!(*b as usize, i, "Builtin::all() must list builtins in declaration order");
+        }
+        let tp =
+            check_src("def f(x int) int:\n    return x\ndef main():\n    print(f(len(\"ab\")))\n")
+                .unwrap();
+        let mut seen: Vec<Callee> = callees(&tp).collect();
+        seen.sort_by_key(|c| format!("{c:?}"));
+        assert_eq!(
+            seen,
+            vec![
+                Callee::Builtin(tetra_stdlib::Builtin::Len),
+                Callee::Builtin(tetra_stdlib::Builtin::Print),
+                Callee::User(0)
+            ]
+        );
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub struct Resolution {
     /// Worker-frame layout per `parallel for` statement (keyed by the
     /// statement's id). Slot 0 is always the induction variable.
     pfor_layouts: HashMap<NodeId, Arc<SlotLayout>>,
+    /// Per function: its body holds no `parallel:`, `parallel for` or
+    /// `background:` at any depth, so no other thread can see its frame.
+    private_frames: Vec<bool>,
 }
 
 impl Resolution {
@@ -67,8 +70,18 @@ impl Resolution {
 
     /// The frame layout of function `func` (declaration index). Parameters
     /// occupy slots `0..params.len()` in order.
-    pub fn func_layout(&self, func: usize) -> Arc<SlotLayout> {
-        self.func_layouts.get(func).cloned().unwrap_or_else(SlotLayout::empty)
+    pub fn func_layout(&self, func: usize) -> &Arc<SlotLayout> {
+        self.func_layouts.get(func).unwrap_or_else(|| SlotLayout::empty_ref())
+    }
+
+    /// Whether no thread but the caller's can ever see an activation of
+    /// function `func`: its body spawns nothing (no `parallel:`,
+    /// `parallel for` or `background:` at any depth), so every access to its
+    /// frame resolves statically and the frame needs no sharing or lock.
+    /// Always false under [`Resolution::all_dynamic`].
+    #[inline]
+    pub fn frame_is_private(&self, func: usize) -> bool {
+        self.private_frames.get(func).copied().unwrap_or(false)
     }
 
     /// The worker-frame layout of a `parallel for` statement. Slot 0 is the
@@ -101,7 +114,32 @@ pub fn resolve(program: &Program) -> Resolution {
     for f in &program.funcs {
         func_layouts.push(r.resolve_func(f));
     }
-    Resolution { coords: r.coords, func_layouts, pfor_layouts: r.pfor_layouts }
+    let private_frames = program.funcs.iter().map(|f| !spawns(&f.body)).collect();
+    Resolution { coords: r.coords, func_layouts, pfor_layouts: r.pfor_layouts, private_frames }
+}
+
+/// Does the block hold a `parallel:`, `parallel for` or `background:`
+/// statement at any nesting depth?
+fn spawns(b: &Block) -> bool {
+    b.stmts.iter().any(|s| match &s.kind {
+        StmtKind::Parallel { .. } | StmtKind::ParallelFor { .. } | StmtKind::Background { .. } => {
+            true
+        }
+        StmtKind::If { then, elifs, els, .. } => {
+            spawns(then) || elifs.iter().any(|(_, b)| spawns(b)) || els.as_ref().is_some_and(spawns)
+        }
+        StmtKind::While { body, .. } | StmtKind::For { body, .. } | StmtKind::Lock { body, .. } => {
+            spawns(body)
+        }
+        StmtKind::Try { body, handler, .. } => spawns(body) || spawns(handler),
+        StmtKind::Expr(_)
+        | StmtKind::Assign { .. }
+        | StmtKind::Return(_)
+        | StmtKind::Break
+        | StmtKind::Continue
+        | StmtKind::Pass
+        | StmtKind::Assert { .. } => false,
+    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -644,5 +682,48 @@ mod tests {
         assert_eq!(r.coord(NodeId(0)), None);
         assert_eq!(r.resolved_count(), 0);
         assert!(r.func_layout(3).is_empty());
+        assert!(!r.frame_is_private(0), "the oracle keeps every frame shared");
+    }
+
+    fn private_frames(src: &str) -> Vec<bool> {
+        let (p, r) = resolve_src(src);
+        (0..p.funcs.len()).map(|f| r.frame_is_private(f)).collect()
+    }
+
+    #[test]
+    fn leaf_and_recursive_functions_have_private_frames() {
+        let src = "\
+def leaf(a int) int:
+    b = a * 2
+    return b
+
+def fact(n int) int:
+    if n == 0:
+        return 1
+    return n * fact(n - 1)
+
+def main():
+    print(leaf(fact(3)))
+";
+        assert_eq!(private_frames(src), vec![true, true, true]);
+    }
+
+    #[test]
+    fn a_spawn_at_any_depth_makes_the_frame_shared() {
+        let bodies = [
+            "    parallel:\n        x = 1\n",
+            "    if c:\n        parallel:\n            x = 1\n",
+            "    if not c:\n        pass\n    elif c:\n        background:\n            x = 1\n",
+            "    if not c:\n        pass\n    else:\n        parallel for i in [1, 2]:\n            x = i\n",
+            "    while c:\n        c = false\n        parallel:\n            x = 1\n",
+            "    for j in [1]:\n        background:\n            x = j\n",
+            "    lock l:\n        parallel for i in [1, 2]:\n            x = i\n",
+            "    try:\n        parallel:\n            x = 1\n    catch e:\n        pass\n",
+            "    try:\n        pass\n    catch e:\n        if c:\n            background:\n                x = 1\n",
+        ];
+        for body in bodies {
+            let src = format!("def f():\n    c = true\n{body}\ndef main():\n    f()\n");
+            assert_eq!(private_frames(&src), vec![false, true], "{src}");
+        }
     }
 }

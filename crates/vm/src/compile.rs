@@ -637,7 +637,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 }
             },
             ExprKind::Call { callee, args } => {
-                match self.comp.typed.callees.get(&e.id).copied() {
+                match self.comp.typed.callee(e.id) {
                     Some(Callee::User(idx)) => {
                         let params: Vec<Type> = self.comp.typed.program.funcs[idx]
                             .params

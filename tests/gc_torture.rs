@@ -206,3 +206,50 @@ def churner():
     assert!(out.contains("read: hello"), "{out}");
     assert!(out.contains("churned"), "{out}");
 }
+
+/// A leaf helper whose only reference to `a` is a local of its private
+/// frame (a slot on the thread's slot stack, not a heap frame), while every
+/// append allocates and so collects under stress.
+const PRIVATE_LOCAL_ROOT: &str = "\
+def keep(i int, sink [[int]]) int:
+    a = [i, i + 1, i + 2]
+    j = 0
+    while j < 80:
+        append(sink, [i, j, i + j])
+        j += 1
+    return a[0] + a[1] + a[2]
+
+def main():
+    sums = fill(4, 0)
+    parallel for w in [0 ... 3]:
+        sink = fill(0, [0])
+        total = 0
+        k = 1
+        while k <= 6:
+            total += keep(w * 10 + k, sink)
+            k += 1
+        sums[w] = total + len(sink)
+    grand = 0
+    for v in sums:
+        grand += v
+    print(grand)
+";
+
+#[test]
+fn private_frame_locals_are_gc_roots_under_stress() {
+    // keep(i) returns 3i + 3; each worker's sink ends with 6 * 80 arrays.
+    let expected: i64 =
+        (0..4).map(|w| (1..=6).map(|k| 3 * (w * 10 + k) + 3).sum::<i64>() + 6 * 80).sum();
+    let p = Tetra::compile(PRIVATE_LOCAL_ROOT).unwrap_or_else(|e| panic!("{}", e.render()));
+    let console = BufferConsole::new();
+    let config = InterpConfig {
+        gc: HeapConfig { stress: true, gc_threads: 4, ..HeapConfig::default() },
+        worker_threads: 4,
+        ..InterpConfig::default()
+    };
+    let stats = p.run_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(console.output(), format!("{expected}\n"));
+    // Every allocation collects; concurrent ones may share a collection.
+    assert!(stats.gc.collections >= 6 * 80, "{:?}", stats.gc);
+    assert_eq!(run_stress_vm(PRIVATE_LOCAL_ROOT), format!("{expected}\n"));
+}
