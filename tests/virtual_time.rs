@@ -126,6 +126,22 @@ def main():
     print(total, \" \", order)
 ";
 
+/// Workers read and write cells of one shared array, held in a local of
+/// each worker, with no lock: every cell's final value depends on the
+/// exact order of the workers' `Index` and `IndexStore` instructions.
+const SHARED_CELLS: &str = "\
+def main():
+    cells = fill(8, 0)
+    parallel for i in [0 ... 31]:
+        c = cells
+        k = 0
+        while k < len(c):
+            j = (i + k) % len(c)
+            c[j] = c[j] * 3 % 1009 + i
+            k += 1
+    print(cells)
+";
+
 /// Run `src` on the simulator; returns `(virtual_elapsed, instructions,
 /// lock_contentions, stdout)`.
 fn simulate(src: &str, workers: usize, cost: CostModel) -> (u64, u64, u64, String) {
@@ -142,10 +158,12 @@ fn simulate(src: &str, workers: usize, cost: CostModel) -> (u64, u64, u64, Strin
 #[test]
 fn simulated_output_and_counts_match_golden_values() {
     let primes = programs::primes(2_000, 16);
+    let tsp = programs::tsp(6);
     let base = CostModel::default;
     let gil = || CostModel { gil: true, ..CostModel::default() };
+    let unshared = || CostModel { instr_serial: 0, ..CostModel::default() };
     type Golden = (u64, u64, u64, &'static str);
-    let cases: [(&str, &str, usize, CostModel, Golden); 6] = [
+    let cases: [(&str, &str, usize, CostModel, Golden); 14] = [
         (
             "background reader, w4",
             BACKGROUND_READER,
@@ -170,6 +188,50 @@ fn simulated_output_and_counts_match_golden_values() {
         ("lockstep locks, w4", LOCKSTEP_LOCKS, 4, base(), (20745, 8704, 433, "2625 237153\n")),
         ("lockstep locks, w8", LOCKSTEP_LOCKS, 8, base(), (20602, 9497, 1226, "2625 236984\n")),
         ("lockstep locks, gil", LOCKSTEP_LOCKS, 4, gil(), (45069, 8725, 454, "2625 569843\n")),
+        (
+            "primes(2000, 16), w3",
+            &primes,
+            3,
+            base(),
+            (290633, 162649, 0, "primes below 2000: 303\n"),
+        ),
+        (
+            "primes(2000, 16), w5",
+            &primes,
+            5,
+            base(),
+            (190384, 162649, 0, "primes below 2000: 303\n"),
+        ),
+        (
+            "primes(2000, 16), w16",
+            &primes,
+            16,
+            base(),
+            (167898, 162649, 0, "primes below 2000: 303\n"),
+        ),
+        (
+            "shared cells, w4",
+            SHARED_CELLS,
+            4,
+            base(),
+            (13453, 7789, 0, "[115, 379, 384, 954, 359, 592, 711, 254]\n"),
+        ),
+        (
+            "shared cells, w8",
+            SHARED_CELLS,
+            8,
+            base(),
+            (11913, 7789, 0, "[260, 738, 42, 985, 124, 930, 986, 135]\n"),
+        ),
+        (
+            "shared cells, gil",
+            SHARED_CELLS,
+            4,
+            gil(),
+            (42081, 7789, 0, "[472, 529, 453, 255, 66, 679, 114, 163]\n"),
+        ),
+        ("tsp(6), w4", &tsp, 4, base(), (60658, 26187, 0, "best tour: 187\n")),
+        ("parallel mix, w8 unshared", PARALLEL_MIX, 8, unshared(), (19232, 760, 8, "4639\n")),
     ];
     let mismatches: Vec<String> = cases
         .into_iter()
