@@ -11,24 +11,43 @@
 //! batching "until the runner-up") means one scan and one full
 //! [`VmThread::step`] per instruction. Instead a thread runs *private*
 //! instructions ahead of their virtual time: everything
-//! [`VmThread::step_quantum`] accepts is `Basic`, allocation-free, and
+//! [`VmThread::step_quantum`] runs ahead is `Basic`, allocation-free, and
 //! touches only the thread's own top-frame locals and operand stack, so no
 //! other thread can observe when it ran. The thread carries an `uncharged`
 //! count; each pick settles it in closed form — the first instruction is
 //! one ordinary charge (it may wait on the shared resource), every later
 //! one adds exactly `parallel + serial` — as far as the thread's key stays
-//! below the runner-up's. Every other instruction (allocation, builtins,
-//! enclosing-frame access, call/return, locks, spawns, errors) steps only
-//! when its thread has nothing uncharged and holds the smallest key: the
-//! position the one-instruction-at-a-time order gives it. Output, lock
+//! below the runner-up's. Every other instruction runs only when its
+//! thread has nothing uncharged and holds the smallest key: the position
+//! the one-instruction-at-a-time order gives it. A quantum starts exactly
+//! there, so it still runs its first instruction in place when that is a
+//! *frontier access* (an in-bounds array `Index`/`IndexStore`, `len` of an
+//! array, `LoadOuter`/`StoreOuter`), which is charged at once at its own
+//! price, before the private instructions after it; anything that may
+//! allocate, raise or change frames (other indexing, builtins, calls,
+//! returns, locks, spawns) goes through [`VmThread::step`]. Output, lock
 //! order, virtual time and every count are therefore those of that order.
 //!
 //! The exception is a `background:` child, which reads its still-running
 //! parent's frame: while one is live, run-ahead stops at the runner-up
-//! bound. Run-ahead never allocates, but a `StoreLocal` or `Pop` may drop
+//! bound, frontier accesses go through `step`, and no lockstep round is
+//! charged. Run-ahead never allocates, but a `StoreLocal` or `Pop` may drop
 //! an object reference before a collection another thread triggers, which
 //! may then reclaim the object one collection sooner; runs stay
 //! deterministic.
+//!
+//! **Lockstep rounds.** With several runnable threads that all hold
+//! uncharged instructions, the clocks stay about one instruction apart and
+//! each pick settles one instruction. [`Scheduler::lockstep`] instead
+//! charges a *round* — one instruction per thread, in pick order — and
+//! checks that it shifted every runnable clock, and the shared resource
+//! when `Basic` charges move it, by one `delta`. The round then left a
+//! translated copy of the state it started from; charges and key order
+//! depend only on differences between clocks, so every further round
+//! repeats it exactly, and as many as every thread can still pay for are
+//! charged at once. The check holds in the unsaturated and saturated
+//! regimes and in GIL mode alike; when it fails, the round's charges were
+//! ordinary picks and the loop goes on pick by pick.
 //!
 //! Virtual time models the paper's own explanation of its 62.5 % efficiency:
 //! "the sharing of data structures amongst interpreter threads" (§IV).
@@ -179,6 +198,8 @@ struct Scheduler<'p> {
     threads: Vec<VmThread>,
     /// Ids of the `Runnable` threads, in no particular order.
     runnable: Vec<u32>,
+    /// Scratch for [`Scheduler::lockstep`]: the runnable keys in order.
+    round: Vec<Key>,
     /// `background:` threads not yet `Done`.
     background_live: u32,
     rng: RefCell<StdRng>,
@@ -204,6 +225,7 @@ impl<'p> Scheduler<'p> {
             console,
             threads: Vec::new(),
             runnable: Vec::new(),
+            round: Vec::new(),
             background_live: 0,
             rng: RefCell::new(StdRng::seed_from_u64(RNG_SEED)),
             locks: HashMap::new(),
@@ -249,13 +271,17 @@ impl<'p> Scheduler<'p> {
         }
     }
 
-    /// The runnable thread with the smallest key, and the runner-up's key
-    /// (`None` when it is the only runnable thread).
-    fn pick(&self) -> Option<(usize, Option<Key>)> {
+    /// The runnable thread with the smallest key, the runner-up's key
+    /// (`None` when it is the only runnable thread), and the fewest
+    /// uncharged instructions any runnable thread holds.
+    fn pick(&self) -> Option<(usize, Option<Key>, u64)> {
         let mut best: Option<Key> = None;
         let mut runner_up: Option<Key> = None;
+        let mut fewest = u64::MAX;
         for &id in &self.runnable {
-            let key = (self.threads[id as usize].vtime, id);
+            let t = &self.threads[id as usize];
+            let key = (t.vtime, id);
+            fewest = fewest.min(t.uncharged);
             if best.is_none_or(|b| key < b) {
                 runner_up = best;
                 best = Some(key);
@@ -263,7 +289,7 @@ impl<'p> Scheduler<'p> {
                 runner_up = Some(key);
             }
         }
-        best.map(|(_, id)| (id as usize, runner_up))
+        best.map(|(_, id)| (id as usize, runner_up, fewest))
     }
 
     /// Whether the thread at `idx` still holds the smallest key.
@@ -296,6 +322,59 @@ impl<'p> Scheduler<'p> {
         if self.config.cost.gil || serial > 0 {
             self.runtime_free = vtime;
         }
+    }
+
+    /// Charge lockstep rounds: every runnable thread holds uncharged
+    /// instructions and the leader's first one passes the runner-up.
+    ///
+    /// One round charges one `Basic` instruction to each runnable thread
+    /// in key order, as long as the next thread in that order is also the
+    /// next pick (its key is below every key charged so far); a thread
+    /// that would be picked twice ends it early, with the charges made so
+    /// far standing as ordinary picks. If a full round moved every clock,
+    /// and the runtime resource whenever `Basic` charges move it, by one
+    /// and the same `delta`, the state after it is the state before it
+    /// shifted by `delta`. [`Scheduler::charged`] and the key order depend
+    /// only on differences, so the next round repeats it exactly, as long
+    /// as every thread still holds an uncharged instruction: those rounds
+    /// are charged at once, `delta` each.
+    fn lockstep(&mut self) {
+        let (parallel, serial) = self.config.cost.price(CostClass::Basic);
+        let mut order = std::mem::take(&mut self.round);
+        order.clear();
+        order.extend(self.runnable.iter().map(|&id| (self.threads[id as usize].vtime, id)));
+        order.sort_unstable();
+        let free_before = self.runtime_free;
+        let mut lowest: Key = (u64::MAX, u32::MAX);
+        let full = order.iter().all(|&(vtime, id)| {
+            if lowest < (vtime, id) {
+                return false; // a charged thread is picked next
+            }
+            self.charge(id as usize, parallel, serial, 1);
+            let t = &mut self.threads[id as usize];
+            t.uncharged -= 1;
+            lowest = lowest.min((t.vtime, id));
+            true
+        });
+        let shift = |&(before, id): &Key| self.threads[id as usize].vtime - before;
+        let delta = shift(&order[0]);
+        let moves_free = self.config.cost.gil || serial > 0;
+        if full
+            && order.iter().all(|key| shift(key) == delta)
+            && (!moves_free || self.runtime_free - free_before == delta)
+        {
+            let rounds = order.iter().map(|&(_, id)| self.threads[id as usize].uncharged).min();
+            let rounds = rounds.expect("a round has threads");
+            for &(_, id) in &order {
+                let t = &mut self.threads[id as usize];
+                t.vtime += rounds * delta;
+                t.uncharged -= rounds;
+            }
+            if moves_free {
+                self.runtime_free += rounds * delta;
+            }
+        }
+        self.round = order;
     }
 
     /// How many `Basic` instructions the thread at `idx`, which holds the
@@ -333,7 +412,7 @@ impl<'p> Scheduler<'p> {
         self.new_thread(None, main_unit, locals, Vec::new(), 0, main_node);
 
         loop {
-            let Some((idx, runner_up)) = self.pick() else {
+            let Some((idx, runner_up, fewest)) = self.pick() else {
                 if self.threads.iter().all(|t| t.state == VmState::Done) {
                     break;
                 }
@@ -361,6 +440,13 @@ impl<'p> Scheduler<'p> {
                 self.deliver(victim, err)?;
                 continue;
             };
+            // A lone thread, or a leader that keeps the lead, is charged
+            // faster by `dispatch`; rounds pay off once each thread has
+            // more than one instruction to charge.
+            if fewest > 1 && self.background_live == 0 && self.fit(idx, runner_up) == 1 {
+                self.lockstep();
+                continue;
+            }
             self.dispatch(idx, runner_up)?;
         }
 
@@ -406,19 +492,25 @@ impl<'p> Scheduler<'p> {
             };
             if !self.threads[idx].at_step {
                 // A live `background:` child may read a running parent's
-                // frame: run no further ahead than the reference order.
-                let max = if self.background_live > 0 {
-                    self.fit(idx, runner_up).min(QUANTUM)
-                } else {
-                    QUANTUM
-                };
-                let t = &mut self.threads[idx];
-                let n = t.step_quantum(&world, max as u32) as u64;
-                t.at_step = n < max;
-                t.uncharged = n;
+                // frame: run no further ahead than the reference order, and
+                // leave shared accesses to `step`.
+                let frontier = self.background_live == 0;
+                let max = if frontier { QUANTUM } else { self.fit(idx, runner_up).min(QUANTUM) };
+                let (n, shared) = self.threads[idx].step_quantum(&world, max as u32, frontier);
                 if n > 0 {
-                    self.instructions += n;
-                    tetra_obs::vm_dispatch(tid, n as u32, start, node);
+                    self.instructions += n as u64;
+                    tetra_obs::vm_dispatch(tid, n, start, node);
+                    // The frontier access stood at its reference position:
+                    // charge it now, at its own price.
+                    let ahead = match shared {
+                        Some(cost) => {
+                            let (p, s) = self.config.cost.price(cost);
+                            self.charge(idx, p, s, 1);
+                            n - 1
+                        }
+                        None => n,
+                    };
+                    self.threads[idx].uncharged = ahead as u64;
                     continue;
                 }
             }

@@ -190,8 +190,9 @@ pub struct VmThread {
     /// Instructions [`VmThread::step_quantum`] has executed ahead whose
     /// virtual time the scheduler has not charged yet.
     pub uncharged: u64,
-    /// The last quantum stopped short at an instruction only
-    /// [`VmThread::step`] runs, and the thread has not moved since.
+    /// The last quantum stopped short at an instruction it cannot run
+    /// even at the frontier, so only [`VmThread::step`] runs it, and the
+    /// thread has not moved since.
     pub at_step: bool,
     /// Reused buffer for builtin-call arguments.
     builtin_args: Vec<Value>,
@@ -367,30 +368,44 @@ impl VmThread {
     /// **once**, instead of re-acquiring both `RwLock`s for every
     /// instruction.
     ///
-    /// Returns how many instructions ran (possibly 0); every one of them is
-    /// `CostClass::Basic` and touches only this thread's top-frame locals
-    /// and operand stack, which is what lets the scheduler run them ahead
-    /// of their virtual time. Stops *before* any instruction that could
-    /// allocate, raise, block, touch an enclosing frame, or change the
-    /// frame stack — those must go through [`VmThread::step`]. The
-    /// allocation restriction is load-bearing: a GC triggered inside the
-    /// quantum would scan the registry's roots, which read-locks every
-    /// table, including the two write guards held here.
-    pub fn step_quantum(&mut self, world: &World, max: u32) -> u32 {
+    /// Returns how many instructions ran (possibly 0) and, when the first
+    /// of them was a *frontier access*, its cost class. The scheduler calls
+    /// this only while the thread has nothing uncharged and holds the
+    /// smallest key, so the first instruction stands at its reference
+    /// position: with `frontier` set, it may be one that touches shared
+    /// state without allocating or raising — `Index`/`IndexStore` on an
+    /// in-bounds array element, `len` of an array, or `LoadOuter`/
+    /// `StoreOuter` of an assigned slot — and the scheduler charges it at
+    /// once. Every other instruction is `CostClass::Basic` and touches
+    /// only this thread's top-frame locals and operand stack, which is what
+    /// lets the scheduler run it ahead of its virtual time.
+    ///
+    /// Stops *before* any instruction that could allocate, raise, block,
+    /// or change the frame stack, and before any shared access past the
+    /// first instruction — those run at the frontier of a later quantum or
+    /// through [`VmThread::step`]. `at_step` is left set when the stop is
+    /// at an instruction no quantum runs. The allocation restriction is
+    /// load-bearing: a GC triggered inside the quantum would scan the
+    /// registry's roots, which read-locks every table, including the two
+    /// write guards held here.
+    pub fn step_quantum(
+        &mut self,
+        world: &World,
+        max: u32,
+        frontier: bool,
+    ) -> (u32, Option<CostClass>) {
         let program = world.program;
-        let stack_arc = self.stack.clone();
         let Some(frame) = self.frames.last_mut() else {
-            return 0;
+            return (0, None);
         };
-        let unit = program.unit(frame.unit);
-        let code = &unit.code;
-        let locals_arc = frame.locals.clone();
+        let code = &program.unit(frame.unit).code;
         let octx =
             ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line: 0 };
-        let mut locals = locals_arc.write();
-        let mut stack = stack_arc.write();
+        let mut locals = frame.locals.write();
+        let mut stack = self.stack.write();
         let mut ip = frame.ip;
         let mut n: u32 = 0;
+        let mut shared = None;
         while n < max {
             match &code[ip] {
                 Instr::Const(i) => match &program.consts[*i as usize] {
@@ -512,15 +527,58 @@ impl VmThread {
                     stack.pop();
                     stack.push(ops::widen_to(&Type::Real, v));
                 }
+                // Frontier accesses: only as the quantum's first instruction.
+                Instr::Index if n == 0 && frontier => {
+                    let len = stack.len();
+                    let Some(v) = with_element(stack[len - 2], stack[len - 1], |slot| *slot) else {
+                        break;
+                    };
+                    stack.truncate(len - 2);
+                    stack.push(v);
+                    shared = Some(CostClass::SharedAccess);
+                }
+                Instr::IndexStore if n == 0 && frontier => {
+                    let len = stack.len();
+                    let v = stack[len - 1];
+                    let store = |slot: &mut Value| *slot = ops::widen_like(Some(*slot), v);
+                    if with_element(stack[len - 3], stack[len - 2], store).is_none() {
+                        break;
+                    }
+                    stack.truncate(len - 3);
+                    shared = Some(CostClass::SharedAccess);
+                }
+                Instr::CallBuiltin(Builtin::Len, 1) if n == 0 && frontier => {
+                    let Some(len) = stack.last().and_then(|v| array_len(*v)) else { break };
+                    stack.pop();
+                    stack.push(Value::Int(len as i64));
+                    shared = Some(CostClass::Builtin);
+                }
+                Instr::LoadOuter(d, i) if n == 0 && frontier => {
+                    let v = frame.outers[*d as usize - 1].read()[*i as usize];
+                    if matches!(v, Value::None) {
+                        break;
+                    }
+                    stack.push(v);
+                    shared = Some(CostClass::SharedAccess);
+                }
+                Instr::StoreOuter(d, i) if n == 0 && frontier => {
+                    let Some(&v) = stack.last() else { break };
+                    stack.pop();
+                    let mut outer = frame.outers[*d as usize - 1].write();
+                    let slot = &mut outer[*i as usize];
+                    *slot = ops::widen_like(Some(*slot), v);
+                    shared = Some(CostClass::SharedAccess);
+                }
                 _ => break,
             }
             ip += 1;
             n += 1;
         }
+        self.at_step = n < max && !(frontier && is_frontier_access(&code[ip]));
         drop(stack);
         drop(locals);
         frame.ip = ip;
-        n
+        (n, shared)
     }
 
     /// Execute the instruction at the current ip. Returns the outcome and
@@ -530,7 +588,7 @@ impl VmThread {
         let program = world.program;
         let frame = self.frames.last().expect("step on a finished thread");
         let unit = program.unit(frame.unit);
-        let instr = unit.code[frame.ip].clone();
+        let instr = &unit.code[frame.ip];
         let line = unit.line_at(frame.ip);
         if tetra_obs::heap_profile_enabled() {
             // Any allocation this instruction performs is charged to the
@@ -545,7 +603,7 @@ impl VmThread {
         let mut advance = true;
         let mut outcome = Outcome::Normal;
 
-        match instr {
+        match *instr {
             Instr::Const(i) => {
                 let v = match &program.consts[i as usize] {
                     Const::None => Value::None,
@@ -838,11 +896,11 @@ impl VmThread {
                 };
                 outcome = Outcome::Unlocked { name: name.clone() };
             }
-            Instr::Parallel(thunks) => {
-                outcome = Outcome::Spawn { thunks, join: true };
+            Instr::Parallel(ref thunks) => {
+                outcome = Outcome::Spawn { thunks: thunks.clone(), join: true };
             }
-            Instr::Background(thunks) => {
-                outcome = Outcome::Spawn { thunks, join: false };
+            Instr::Background(ref thunks) => {
+                outcome = Outcome::Spawn { thunks: thunks.clone(), join: false };
             }
             Instr::TryPush(handler_ip) => {
                 self.handlers.push(Handler {
@@ -920,6 +978,37 @@ impl VmThread {
             f.ip += 1;
         }
     }
+}
+
+/// Whether [`VmThread::step_quantum`] may run `instr` as its first
+/// instruction (a frontier access).
+fn is_frontier_access(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Index
+            | Instr::IndexStore
+            | Instr::CallBuiltin(Builtin::Len, 1)
+            | Instr::LoadOuter(..)
+            | Instr::StoreOuter(..)
+    )
+}
+
+/// Apply `f` to `base[index]` when `base` is an array and `index` is in
+/// bounds; `None` otherwise (the error, or the allocating string index, is
+/// left to [`VmThread::step`]).
+fn with_element<T>(base: Value, index: Value, f: impl FnOnce(&mut Value) -> T) -> Option<T> {
+    let (Value::Obj(r), Value::Int(i)) = (base, index) else { return None };
+    let Object::Array(items) = r.object() else { return None };
+    let out = items.lock().get_mut(usize::try_from(i).ok()?).map(f);
+    out
+}
+
+/// The length of `v` when it is an array.
+fn array_len(v: Value) -> Option<usize> {
+    let Value::Obj(r) = v else { return None };
+    let Object::Array(items) = r.object() else { return None };
+    let len = items.lock().len();
+    Some(len)
 }
 
 #[cfg(test)]
