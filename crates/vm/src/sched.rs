@@ -21,11 +21,12 @@
 //! thread has nothing uncharged and holds the smallest key: the position
 //! the one-instruction-at-a-time order gives it. A quantum starts exactly
 //! there, so it still runs its first instruction in place when that is a
-//! *frontier access* (an in-bounds array `Index`/`IndexStore`, `len` of an
-//! array, `LoadOuter`/`StoreOuter`), which is charged at once at its own
-//! price, before the private instructions after it; anything that may
-//! allocate, raise or change frames (other indexing, builtins, calls,
-//! returns, locks, spawns) goes through [`VmThread::step`]. Output, lock
+//! *frontier access* (an in-bounds array `Index`/`IndexStore`, or `len`
+//! of an array), which is charged at once at its own price, before the
+//! private instructions after it; anything else that touches shared state
+//! or may allocate, raise or change frames (enclosing-frame variables,
+//! other indexing, builtins, calls, returns, locks, spawns) goes through
+//! [`VmThread::step`]. Output, lock
 //! order, virtual time and every count are therefore those of that order.
 //!
 //! The exception is a `background:` child, which reads its still-running

@@ -267,6 +267,21 @@ pub struct World<'a> {
     pub rng: &'a RefCell<StdRng>,
 }
 
+impl World<'_> {
+    /// The context a builtin called at `line` runs in.
+    fn host(&self, line: u32) -> tetra_stdlib::HostCtx<'_> {
+        tetra_stdlib::HostCtx {
+            heap: self.heap,
+            mutator: self.mutator,
+            roots: self.registry,
+            console: self.console,
+            thread: None,
+            rng: Some(self.rng),
+            line,
+        }
+    }
+}
+
 impl VmThread {
     pub fn new(
         id: u32,
@@ -374,20 +389,19 @@ impl VmThread {
     /// smallest key, so the first instruction stands at its reference
     /// position: with `frontier` set, it may be one that touches shared
     /// state without allocating or raising — `Index`/`IndexStore` on an
-    /// in-bounds array element, `len` of an array, or `LoadOuter`/
-    /// `StoreOuter` of an assigned slot — and the scheduler charges it at
-    /// once. Every other instruction is `CostClass::Basic` and touches
-    /// only this thread's top-frame locals and operand stack, which is what
-    /// lets the scheduler run it ahead of its virtual time.
+    /// in-bounds array element, or `len` of an array — and the scheduler
+    /// charges it at once. Every other instruction is `CostClass::Basic`
+    /// and touches only this thread's top-frame locals and operand stack,
+    /// which is what lets the scheduler run it ahead of its virtual time.
     ///
     /// Stops *before* any instruction that could allocate, raise, block,
     /// or change the frame stack, and before any shared access past the
     /// first instruction — those run at the frontier of a later quantum or
-    /// through [`VmThread::step`]. `at_step` is left set when the stop is
-    /// at an instruction no quantum runs. The allocation restriction is
-    /// load-bearing: a GC triggered inside the quantum would scan the
-    /// registry's roots, which read-locks every table, including the two
-    /// write guards held here.
+    /// through [`VmThread::step`]. `at_step` is left set unless the stop is
+    /// at a frontier access, which the next quantum runs first. The
+    /// allocation restriction is load-bearing: a GC triggered inside the
+    /// quantum would scan the registry's roots, which read-locks every
+    /// table, including the two write guards held here.
     pub fn step_quantum(
         &mut self,
         world: &World,
@@ -406,6 +420,7 @@ impl VmThread {
         let mut ip = frame.ip;
         let mut n: u32 = 0;
         let mut shared = None;
+        let mut at_frontier = false;
         while n < max {
             match &code[ip] {
                 Instr::Const(i) => match &program.consts[*i as usize] {
@@ -527,54 +542,68 @@ impl VmThread {
                     stack.pop();
                     stack.push(ops::widen_to(&Type::Real, v));
                 }
-                // Frontier accesses: only as the quantum's first instruction.
-                Instr::Index if n == 0 && frontier => {
-                    let len = stack.len();
-                    let Some(v) = with_element(stack[len - 2], stack[len - 1], |slot| *slot) else {
+                // Frontier accesses: array accesses that neither allocate
+                // nor raise, run only as the quantum's first instruction; a
+                // later one ends the quantum, and the next starts with it.
+                Instr::Index if frontier => {
+                    if n > 0 {
+                        at_frontier = true;
                         break;
-                    };
-                    stack.truncate(len - 2);
-                    stack.push(v);
+                    }
+                    let len = stack.len();
+                    let (base, index) = (stack[len - 2], stack[len - 1]);
+                    if !is_array(base) {
+                        break; // string indexing allocates: via step()
+                    }
+                    match ops::index_read(&octx, base, index) {
+                        Ok(v) => {
+                            stack.truncate(len - 2);
+                            stack.push(v);
+                        }
+                        Err(_) => break,
+                    }
                     shared = Some(CostClass::SharedAccess);
                 }
-                Instr::IndexStore if n == 0 && frontier => {
+                Instr::IndexStore if frontier => {
+                    if n > 0 {
+                        at_frontier = true;
+                        break;
+                    }
                     let len = stack.len();
-                    let v = stack[len - 1];
-                    let store = |slot: &mut Value| *slot = ops::widen_like(Some(*slot), v);
-                    if with_element(stack[len - 3], stack[len - 2], store).is_none() {
+                    let (base, index, v) = (stack[len - 3], stack[len - 2], stack[len - 1]);
+                    if !is_array(base) {
+                        break;
+                    }
+                    if ops::index_write(&octx, base, index, v).is_err() {
                         break;
                     }
                     stack.truncate(len - 3);
                     shared = Some(CostClass::SharedAccess);
                 }
-                Instr::CallBuiltin(Builtin::Len, 1) if n == 0 && frontier => {
-                    let Some(len) = stack.last().and_then(|v| array_len(*v)) else { break };
-                    stack.pop();
-                    stack.push(Value::Int(len as i64));
-                    shared = Some(CostClass::Builtin);
-                }
-                Instr::LoadOuter(d, i) if n == 0 && frontier => {
-                    let v = frame.outers[*d as usize - 1].read()[*i as usize];
-                    if matches!(v, Value::None) {
+                Instr::CallBuiltin(Builtin::Len, 1) if frontier => {
+                    if n > 0 {
+                        at_frontier = true;
                         break;
                     }
-                    stack.push(v);
-                    shared = Some(CostClass::SharedAccess);
-                }
-                Instr::StoreOuter(d, i) if n == 0 && frontier => {
                     let Some(&v) = stack.last() else { break };
-                    stack.pop();
-                    let mut outer = frame.outers[*d as usize - 1].write();
-                    let slot = &mut outer[*i as usize];
-                    *slot = ops::widen_like(Some(*slot), v);
-                    shared = Some(CostClass::SharedAccess);
+                    if !is_array(v) {
+                        break;
+                    }
+                    match tetra_stdlib::call_builtin(Builtin::Len, &world.host(0), &[v]) {
+                        Ok(v) => {
+                            stack.pop();
+                            stack.push(v);
+                        }
+                        Err(_) => break,
+                    }
+                    shared = Some(CostClass::Builtin);
                 }
                 _ => break,
             }
             ip += 1;
             n += 1;
         }
-        self.at_step = n < max && !(frontier && is_frontier_access(&code[ip]));
+        self.at_step = n < max && !at_frontier;
         drop(stack);
         drop(locals);
         frame.ip = ip;
@@ -773,16 +802,7 @@ impl VmThread {
                         let stack = self.stack.read();
                         args.extend_from_slice(&stack[stack.len() - argc..]);
                     }
-                    let hctx = tetra_stdlib::HostCtx {
-                        heap: world.heap,
-                        mutator: world.mutator,
-                        roots: world.registry,
-                        console: world.console,
-                        thread: None,
-                        rng: Some(world.rng),
-                        line,
-                    };
-                    let r = tetra_stdlib::call_builtin(b, &hctx, &args);
+                    let r = tetra_stdlib::call_builtin(b, &world.host(line), &args);
                     self.builtin_args = args;
                     let r = r?;
                     self.drop_n(argc);
@@ -980,35 +1000,10 @@ impl VmThread {
     }
 }
 
-/// Whether [`VmThread::step_quantum`] may run `instr` as its first
-/// instruction (a frontier access).
-fn is_frontier_access(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::Index
-            | Instr::IndexStore
-            | Instr::CallBuiltin(Builtin::Len, 1)
-            | Instr::LoadOuter(..)
-            | Instr::StoreOuter(..)
-    )
-}
-
-/// Apply `f` to `base[index]` when `base` is an array and `index` is in
-/// bounds; `None` otherwise (the error, or the allocating string index, is
-/// left to [`VmThread::step`]).
-fn with_element<T>(base: Value, index: Value, f: impl FnOnce(&mut Value) -> T) -> Option<T> {
-    let (Value::Obj(r), Value::Int(i)) = (base, index) else { return None };
-    let Object::Array(items) = r.object() else { return None };
-    let out = items.lock().get_mut(usize::try_from(i).ok()?).map(f);
-    out
-}
-
-/// The length of `v` when it is an array.
-fn array_len(v: Value) -> Option<usize> {
-    let Value::Obj(r) = v else { return None };
-    let Object::Array(items) = r.object() else { return None };
-    let len = items.lock().len();
-    Some(len)
+/// Whether `v` is an array, whose element accesses and `len` neither
+/// allocate nor change frames.
+fn is_array(v: Value) -> bool {
+    v.as_obj().is_some_and(|r| matches!(r.object(), Object::Array(_)))
 }
 
 #[cfg(test)]
